@@ -6,7 +6,7 @@
 //! iteration/scope counters that explain the gap.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use leapfrog::Options;
+use leapfrog::EngineConfig;
 use leapfrog_bench::rows::run_row;
 use leapfrog_suite::utility::state_rearrangement;
 
@@ -22,10 +22,10 @@ fn ablation(c: &mut Criterion) {
     ] {
         g.bench_function(label, |b| {
             b.iter(|| {
-                let options = Options {
+                let options = EngineConfig {
                     leaps,
                     reach_pruning: pruning,
-                    ..Options::default()
+                    ..EngineConfig::from_env().unwrap()
                 };
                 let row = run_row(&bench, options);
                 assert!(row.verified);

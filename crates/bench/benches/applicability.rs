@@ -4,7 +4,7 @@
 //! full-scale single-shot rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use leapfrog::Options;
+use leapfrog::EngineConfig;
 use leapfrog_bench::rows::run_row;
 use leapfrog_suite::applicability::all_benchmarks;
 use leapfrog_suite::Scale;
@@ -17,7 +17,7 @@ fn applicability(c: &mut Criterion) {
         let id = bench.name.to_lowercase().replace(' ', "_");
         g.bench_function(id, |b| {
             b.iter(|| {
-                let row = run_row(&bench, Options::default());
+                let row = run_row(&bench, EngineConfig::from_env().unwrap());
                 assert!(row.verified, "{} failed to verify", bench.name);
             })
         });

@@ -4,7 +4,7 @@
 //! are also benched separately to show where time goes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use leapfrog::Options;
+use leapfrog::EngineConfig;
 use leapfrog_bench::rows::run_translation_validation;
 use leapfrog_hwgen::{back_translate, compile, HwBudget};
 use leapfrog_suite::applicability::edge;
@@ -26,7 +26,7 @@ fn translation_validation(c: &mut Criterion) {
 
     g.bench_function("full_round_trip_check", |b| {
         b.iter(|| {
-            let row = run_translation_validation(scale, Options::default());
+            let row = run_translation_validation(scale, EngineConfig::from_env().unwrap());
             assert!(row.verified);
         })
     });

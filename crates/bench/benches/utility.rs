@@ -3,7 +3,7 @@
 //! analysis, worklist, SMT entailments, Close).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use leapfrog::Options;
+use leapfrog::EngineConfig;
 use leapfrog_bench::rows::{run_external_filtering, run_relational_verification, run_row};
 use leapfrog_suite::utility::{ip_options, mpls, state_rearrangement, vlan_init};
 use leapfrog_suite::Scale;
@@ -15,7 +15,7 @@ fn utility(c: &mut Criterion) {
     let rearrangement = state_rearrangement::state_rearrangement_benchmark();
     g.bench_function("state_rearrangement", |b| {
         b.iter(|| {
-            let row = run_row(&rearrangement, Options::default());
+            let row = run_row(&rearrangement, EngineConfig::from_env().unwrap());
             assert!(row.verified);
         })
     });
@@ -23,7 +23,7 @@ fn utility(c: &mut Criterion) {
     let options = ip_options::ip_options_benchmark(Scale::Small);
     g.bench_function("variable_length_parsing", |b| {
         b.iter(|| {
-            let row = run_row(&options, Options::default());
+            let row = run_row(&options, EngineConfig::from_env().unwrap());
             assert!(row.verified);
         })
     });
@@ -31,7 +31,7 @@ fn utility(c: &mut Criterion) {
     let vlan = vlan_init::vlan_init_benchmark();
     g.bench_function("header_initialization", |b| {
         b.iter(|| {
-            let row = run_row(&vlan, Options::default());
+            let row = run_row(&vlan, EngineConfig::from_env().unwrap());
             assert!(row.verified);
         })
     });
@@ -39,21 +39,21 @@ fn utility(c: &mut Criterion) {
     let speculative = mpls::mpls_benchmark();
     g.bench_function("speculative_loop", |b| {
         b.iter(|| {
-            let row = run_row(&speculative, Options::default());
+            let row = run_row(&speculative, EngineConfig::from_env().unwrap());
             assert!(row.verified);
         })
     });
 
     g.bench_function("relational_verification", |b| {
         b.iter(|| {
-            let row = run_relational_verification(Options::default());
+            let row = run_relational_verification(EngineConfig::from_env().unwrap());
             assert!(row.verified);
         })
     });
 
     g.bench_function("external_filtering", |b| {
         b.iter(|| {
-            let row = run_external_filtering(Options::default());
+            let row = run_external_filtering(EngineConfig::from_env().unwrap());
             assert!(row.verified);
         })
     });

@@ -13,7 +13,7 @@
 //!
 //! Since the trust root landed, every row's certificate is additionally
 //! re-discharged through the independent `leapfrog-certcheck` checker
-//! (its own WP transformer and DPLL loop — no engine code), with the
+//! (its own WP transformer and CDCL solver — no engine code), with the
 //! re-validation wall-clock recorded per row as `certcheck_secs` in
 //! `BENCH_table2.json`; a rejection fails the run.
 //!
@@ -81,7 +81,7 @@ const SANITY_PAIR: &str = "Sanity check (sloppy vs strict)";
 
 /// Re-discharges a measured row's certificate through the independent
 /// `leapfrog-certcheck` trust root — its own reachable-pair sweep, WP
-/// transformer and DPLL loop, sharing no solver code with the engine —
+/// transformer and CDCL solver, sharing no solver code with the engine —
 /// and records the re-validation wall-clock on the row. Every standard
 /// table row is expected equivalent, so a missing certificate or a
 /// trust-root rejection is a run failure.
@@ -174,7 +174,11 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut engine = Engine::new(EngineConfig::from_env());
+    let config = EngineConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("table2: {e}");
+        std::process::exit(2);
+    });
+    let mut engine = Engine::new(config.clone());
     let corpus_path = std::env::var("LEAPFROG_WITNESS_CORPUS")
         .unwrap_or_else(|_| "WITNESS_CORPUS.txt".to_string());
     let mut failures: Vec<String> = Vec::new();
@@ -217,7 +221,7 @@ fn main() {
     // `null` (single-core hosts report it as not measurable instead).
     if batch_mode || cores >= 2 {
         let mut time_batch = |threads: usize| {
-            let mut cold = Engine::new(EngineConfig::from_env().threads(threads));
+            let mut cold = Engine::new(config.clone().threads(threads));
             let start = std::time::Instant::now();
             let outcomes = cold.check_batch(&batch_specs);
             for (bench, outcome) in batch_benches.iter().zip(&outcomes) {
@@ -456,7 +460,7 @@ fn main() {
             );
         }
     }
-    let mut close_engine = EngineConfig::from_env().early_stop(false).build();
+    let mut close_engine = config.early_stop(false).build();
     let witness_confirmed = match close_engine.check(&sloppy, ql, &strict, qr) {
         Outcome::NotEquivalent(refutation) => match refutation.witness() {
             Some(w) => {
@@ -571,8 +575,6 @@ fn main() {
         "\"peak_live_clauses\"",
         "\"sat_conflicts\"",
         "\"sat_propagations\"",
-        "\"portfolio_lanes\"",
-        "\"portfolio_win_histogram\"",
         "\"cold_t1_secs\"",
         "\"cold_t4_secs\"",
         "\"warm_speedup\"",

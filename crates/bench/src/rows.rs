@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use leapfrog::{Engine, EngineConfig, Options, Outcome, RunStats};
+use leapfrog::{Engine, EngineConfig, Outcome, RunStats};
 use leapfrog_obs::PhaseBreakdown;
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_suite::applicability;
@@ -62,11 +62,6 @@ pub struct RowResult {
     pub sat_conflicts: u64,
     /// CDCL unit propagations across every SAT solve of the run.
     pub sat_propagations: u64,
-    /// Configured SAT portfolio lanes (0 when no portfolio raced — the
-    /// single-solver baseline).
-    pub portfolio_lanes: u64,
-    /// Portfolio races won per lane index (all-zero without a portfolio).
-    pub portfolio_wins: Vec<u64>,
     /// Cold wall-clock of this row on a transient engine pinned to 1
     /// worker thread — the intra-query parallel axis's baseline point
     /// (`None` when the host cannot measure it).
@@ -129,12 +124,9 @@ pub fn run_row_in(engine: &mut Engine, bench: &Benchmark) -> RowResult {
     )
 }
 
-/// [`run_row_in`] over a transient engine configured from `options`.
-pub fn run_row(bench: &Benchmark, options: Options) -> RowResult {
-    run_row_in(
-        &mut Engine::new(EngineConfig::from_options(&options)),
-        bench,
-    )
+/// [`run_row_in`] over a transient engine built from `config`.
+pub fn run_row(bench: &Benchmark, config: EngineConfig) -> RowResult {
+    run_row_in(&mut Engine::new(config), bench)
 }
 
 /// The external-filtering row: sloppy vs strict modulo an EtherType filter
@@ -163,8 +155,8 @@ pub fn run_external_filtering_in(engine: &mut Engine) -> RowResult {
 }
 
 /// [`run_external_filtering_in`] over a transient engine.
-pub fn run_external_filtering(options: Options) -> RowResult {
-    run_external_filtering_in(&mut Engine::new(EngineConfig::from_options(&options)))
+pub fn run_external_filtering(config: EngineConfig) -> RowResult {
+    run_external_filtering_in(&mut Engine::new(config))
 }
 
 /// The relational-verification row: store correspondence at acceptance
@@ -192,8 +184,8 @@ pub fn run_relational_verification_in(engine: &mut Engine) -> RowResult {
 }
 
 /// [`run_relational_verification_in`] over a transient engine.
-pub fn run_relational_verification(options: Options) -> RowResult {
-    run_relational_verification_in(&mut Engine::new(EngineConfig::from_options(&options)))
+pub fn run_relational_verification(config: EngineConfig) -> RowResult {
+    run_relational_verification_in(&mut Engine::new(config))
 }
 
 /// The automaton pair the translation-validation row checks: the Edge
@@ -229,11 +221,8 @@ pub fn run_translation_validation_in(engine: &mut Engine, scale: Scale) -> RowRe
 }
 
 /// [`run_translation_validation_in`] over a transient engine.
-pub fn run_translation_validation(scale: Scale, options: Options) -> RowResult {
-    run_translation_validation_in(
-        &mut Engine::new(EngineConfig::from_options(&options)),
-        scale,
-    )
+pub fn run_translation_validation(scale: Scale, config: EngineConfig) -> RowResult {
+    run_translation_validation_in(&mut Engine::new(config), scale)
 }
 
 /// All six utility rows plus the applicability self-comparisons at the
@@ -270,8 +259,7 @@ pub fn rows_to_json(
              \"speedup\": {}, \"cegar_rounds\": {}, \"blocks_validated\": {}, \
              \"blocks_considered\": {}, \"session_rebuilds\": {}, \
              \"peak_live_clauses\": {}, \"sat_conflicts\": {}, \
-             \"sat_propagations\": {}, \"portfolio_lanes\": {}, \
-             \"portfolio_win_histogram\": [{}], \"cold_t1_secs\": {}, \
+             \"sat_propagations\": {}, \"cold_t1_secs\": {}, \
              \"cold_t4_secs\": {}, \"warm_speedup\": {}, \
              \"sessions_reused\": {}, \"sum_cache_hits\": {}, \
              \"entailment_memo_hits\": {}, \"certcheck_secs\": {}, \
@@ -299,12 +287,6 @@ pub fn rows_to_json(
             row.peak_live_clauses,
             row.sat_conflicts,
             row.sat_propagations,
-            row.portfolio_lanes,
-            row.portfolio_wins
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
             row.cold_t1
                 .map(|d| format!("{:.6}", d.as_secs_f64()))
                 .unwrap_or_else(|| "null".into()),
@@ -381,8 +363,6 @@ fn finish(
         peak_live_clauses: stats.queries.live_clauses_peak,
         sat_conflicts: stats.queries.sat.conflicts,
         sat_propagations: stats.queries.sat.propagations,
-        portfolio_lanes: stats.queries.portfolio.lanes,
-        portfolio_wins: stats.queries.portfolio.wins.to_vec(),
         cold_t1: None,
         cold_t4: None,
         warm_speedup: None,
@@ -406,7 +386,7 @@ mod tests {
     #[test]
     fn state_rearrangement_row_verifies() {
         let bench = state_rearrangement::state_rearrangement_benchmark();
-        let row = run_row(&bench, Options::default());
+        let row = run_row(&bench, EngineConfig::from_env().unwrap());
         assert!(row.verified, "state rearrangement must verify");
         assert!(row.queries > 0);
         let cert = row
@@ -425,7 +405,7 @@ mod tests {
     #[test]
     fn rows_json_carries_pipeline_fields() {
         let bench = state_rearrangement::state_rearrangement_benchmark();
-        let mut row = run_row(&bench, Options::default());
+        let mut row = run_row(&bench, EngineConfig::from_env().unwrap());
         row.speedup = Some(1.25);
         row.warm_speedup = Some(2.0);
         row.cold_t1 = Some(Duration::from_millis(500));
@@ -444,8 +424,6 @@ mod tests {
             "\"peak_live_clauses\"",
             "\"sat_conflicts\"",
             "\"sat_propagations\"",
-            "\"portfolio_lanes\"",
-            "\"portfolio_win_histogram\"",
             "\"cold_t1_secs\": 0.500000",
             "\"cold_t4_secs\": 0.250000",
             "\"warm_speedup\": 2.0000",
@@ -464,7 +442,7 @@ mod tests {
     #[test]
     fn oracle_counters_populated_and_bounded() {
         let bench = state_rearrangement::state_rearrangement_benchmark();
-        let row = run_row(&bench, Options::default());
+        let row = run_row(&bench, EngineConfig::from_env().unwrap());
         assert!(row.cegar_rounds > 0, "CEGAR must run on this row");
         assert!(
             row.blocks_validated <= row.blocks_considered,
@@ -478,7 +456,7 @@ mod tests {
     #[test]
     fn refuted_row_carries_its_witness() {
         let mutant = &leapfrog_suite::mutants::mutant_benchmarks()[0];
-        let row = run_row(mutant, Options::default());
+        let row = run_row(mutant, EngineConfig::from_env().unwrap());
         assert!(row.verified, "the mutant is expected inequivalent");
         let w = row.witness.as_ref().expect("confirmed witness on the row");
         assert!(w.check());
@@ -490,7 +468,7 @@ mod tests {
 
     #[test]
     fn speculative_loop_row_verifies() {
-        let row = run_row(&mpls::mpls_benchmark(), Options::default());
+        let row = run_row(&mpls::mpls_benchmark(), EngineConfig::from_env().unwrap());
         assert!(row.verified);
         assert!(row.relation_size > 0);
     }
@@ -501,7 +479,7 @@ mod tests {
         // through one engine; the warm pass must report reuse and agree on
         // the verdict and relation size.
         let bench = state_rearrangement::state_rearrangement_benchmark();
-        let mut engine = Engine::new(EngineConfig::from_options(&Options::default()));
+        let mut engine = Engine::new(EngineConfig::from_env().unwrap());
         let mut cold = run_row_in(&mut engine, &bench);
         let warm = run_row_in(&mut engine, &bench);
         assert!(cold.verified && warm.verified);

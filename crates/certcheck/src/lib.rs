@@ -12,7 +12,7 @@
 //! * its own JSON parser and schema validation ([`json`]);
 //! * its own reachable-pair computation ([`rel::reachable_pairs`]);
 //! * its own weakest-precondition transformer ([`wp::wp`]);
-//! * its own bit-blasting and minimal DPLL solver with model-based
+//! * its own bit-blasting and small first-UIP CDCL solver with model-based
 //!   universal instantiation ([`solve::entails`]).
 //!
 //! The only shared code is `leapfrog-p4a` (the problem statement: automata

@@ -21,7 +21,7 @@
 //! instantiation: search for a countermodel of `premises ∧ ¬conclusion`
 //! treating each quantified premise only through its ground
 //! instantiations; when a candidate model appears, verify each quantified
-//! premise under the model with a nested DPLL search over the premise's
+//! premise under the model with a nested CDCL search over the premise's
 //! packet bits alone; a violating witness `x*` refutes the candidate and
 //! its ground instantiation `ψᵢ[x := x*]` joins the clause set. Every
 //! round eliminates at least the candidate model, and the model space is
@@ -33,7 +33,7 @@ use leapfrog_p4a::ast::Automaton;
 use crate::rel::{BitExpr, ConfRel, Pure, Side};
 
 // ---------------------------------------------------------------------------
-// CNF + DPLL
+// CNF + CDCL
 
 /// A propositional literal: variable index plus sign (`2v` positive,
 /// `2v+1` negated).
@@ -562,7 +562,7 @@ fn fresh_bits(width: usize, cnf: &mut Cnf) -> Vec<Bit> {
     (0..width).map(|_| Bit::Var(cnf.fresh())).collect()
 }
 
-/// Reads a bit vector's value out of a DPLL model.
+/// Reads a bit vector's value out of a SAT model.
 fn bits_value(bits: &[Bit], model: &[bool]) -> BitVec {
     let vals: Vec<bool> = bits
         .iter()

@@ -201,7 +201,8 @@ fn parallel_find_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{Checker, Options, Outcome};
+    use crate::checker::{Checker, Outcome};
+    use crate::engine::EngineConfig;
     use leapfrog_logic::confrel::{BitExpr, Pure, Side};
     use leapfrog_p4a::surface::parse;
 
@@ -222,7 +223,7 @@ mod tests {
             a.state_by_name("s").unwrap(),
             &b,
             b.state_by_name("s").unwrap(),
-            Options::default(),
+            EngineConfig::from_env().unwrap(),
         );
         let aut = c.sum_automaton().clone();
         match c.run() {

@@ -4,8 +4,8 @@
 //! ablation).
 //!
 //! Since the persistent-engine redesign, this module is a *thin wrapper*:
-//! a [`Checker`] owns a transient [`Engine`] configured
-//! from its [`Options`] and delegates the actual worklist run to it (see
+//! a [`Checker`] owns a transient [`Engine`] built from its
+//! [`EngineConfig`] and delegates the actual worklist run to it (see
 //! [`crate::engine`] for the algorithm and the warm-state machinery).
 //! Certificates and witnesses are byte-identical whichever entry point is
 //! used — a one-shot [`check_language_equivalence`], a cold engine, or a
@@ -19,119 +19,8 @@ use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::sum::Sum;
 
 use crate::certificate::Certificate;
-use crate::engine::{
-    portfolio_min_clauses_from_env, session_gc_floor_from_env, session_gc_from_env,
-    strict_witness_from_env, threads_from_env, Engine, EngineConfig, PairId, QueryRequest,
-};
+use crate::engine::{Engine, EngineConfig, PairId, QueryRequest};
 use crate::stats::RunStats;
-
-/// Tuning knobs for one query. The defaults enable every optimization
-/// described in the paper; the §7.3 ablation disables them selectively.
-/// [`Options::default`] reads the `LEAPFROG_*` environment variables —
-/// the typed, env-free configuration path is
-/// [`EngineConfig`].
-#[derive(Debug, Clone, Copy)]
-pub struct Options {
-    /// Use bisimulations with leaps (§5.2). Disabling falls back to
-    /// bit-by-bit weakest preconditions.
-    pub leaps: bool,
-    /// Prune the search to template pairs reachable from the query (§5.1).
-    /// Disabling considers the full template-pair space.
-    pub reach_pruning: bool,
-    /// Report non-equivalence as soon as a relation contradicting the
-    /// query joins `R`, instead of only at the final `Close` step. Sound:
-    /// the final check would fail on the same conjunct.
-    pub early_stop: bool,
-    /// Abort after this many worklist iterations (`None` = unbounded).
-    pub max_iterations: Option<u64>,
-    /// Worker threads for frontier-generation entailment checks. `0`
-    /// means "use available parallelism"; `1` runs the classic sequential
-    /// loop. Results are bit-identical at every setting. Defaults from
-    /// `LEAPFROG_THREADS`.
-    pub threads: usize,
-    /// Treat an unconfirmed refutation witness as a hard error (panic) for
-    /// standard language-equivalence queries, where lifting must succeed.
-    /// Defaults from `LEAPFROG_STRICT_WITNESS=1`. Relational queries with
-    /// a caller-supplied initial relation are exempt: no sound generic
-    /// search exists for arbitrary relational conjuncts.
-    pub strict_witness: bool,
-    /// Clause-budget GC for the per-guard incremental sessions: a session
-    /// rebuilds its solver context (re-seeding premises and persisted
-    /// CEGAR instantiations) once the clauses retired by finished queries
-    /// exceed `ratio ×` its live clauses. `None` disables the GC (contexts
-    /// grow without bound, the pre-GC behaviour). Defaults from
-    /// `LEAPFROG_SESSION_GC` (`0` = off, a float = the ratio, unset = 4).
-    /// Results are bit-identical at every setting.
-    pub session_gc_ratio: Option<f64>,
-    /// Live-clause floor for the session GC: a context holding fewer live
-    /// clauses than this never rebuilds — small cache-served sessions
-    /// churn retired clauses quickly, and rebuilding them costs more than
-    /// it reclaims. Defaults from `LEAPFROG_SESSION_GC_FLOOR` (unset =
-    /// 512). Results are bit-identical at every setting.
-    pub session_gc_floor: u64,
-    /// Whether the cross-query structural CNF cache is enabled. Defaults
-    /// from `LEAPFROG_NO_BLAST_CACHE` (set `=1` to disable). Results are
-    /// identical either way.
-    pub blast_cache: bool,
-    /// Glucose-style two-tier LBD learnt-clause management in the CDCL
-    /// core (off falls back to activity-only deletion — the ablation
-    /// baseline). Defaults from `LEAPFROG_SAT_LBD` (set `=0` to disable).
-    /// Verdicts and witnesses are identical either way; only solver
-    /// wall-clock changes.
-    pub sat_lbd: bool,
-    /// SAT portfolio racing: the number of differently-configured CDCL
-    /// lanes racing each sufficiently large entailment solve (first answer
-    /// wins, deterministic tie-break, models always from the canonical
-    /// lane 0). `0` or `1` disable racing. Defaults from
-    /// `LEAPFROG_SAT_PORTFOLIO`. Certificates and witnesses are
-    /// byte-identical at every lane count; only wall-clock changes.
-    pub sat_portfolio: usize,
-    /// Racing floor for the SAT portfolio: entailment solves on contexts
-    /// holding fewer live clauses than this run on the canonical lane
-    /// alone instead of spawning race threads. Defaults from
-    /// `LEAPFROG_SAT_PORTFOLIO_MIN_CLAUSES` (unset = 1024). Results are
-    /// bit-identical at every setting.
-    pub sat_portfolio_min_clauses: usize,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            leaps: true,
-            reach_pruning: true,
-            early_stop: true,
-            max_iterations: None,
-            threads: threads_from_env(),
-            strict_witness: strict_witness_from_env(),
-            session_gc_ratio: session_gc_from_env(),
-            session_gc_floor: session_gc_floor_from_env(),
-            blast_cache: std::env::var("LEAPFROG_NO_BLAST_CACHE").as_deref() != Ok("1"),
-            sat_lbd: std::env::var("LEAPFROG_SAT_LBD").as_deref() != Ok("0"),
-            sat_portfolio: std::env::var("LEAPFROG_SAT_PORTFOLIO")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            sat_portfolio_min_clauses: portfolio_min_clauses_from_env(),
-        }
-    }
-}
-
-/// The default retired-to-live clause ratio that triggers a session
-/// context rebuild.
-pub const DEFAULT_SESSION_GC_RATIO: f64 = 4.0;
-
-impl Options {
-    /// The worker-thread count this configuration resolves to.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads != 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-}
 
 /// What a run establishes. Currently only language equivalence carries a
 /// dedicated constructor; relational properties are posed by extending the
@@ -181,7 +70,6 @@ pub struct Checker {
     extra_init: Vec<ConfRel>,
     standard_init: bool,
     query: ConfRel,
-    options: Options,
     stats: RunStats,
 }
 
@@ -193,9 +81,9 @@ impl Checker {
         ql: StateId,
         right: &Automaton,
         qr: StateId,
-        options: Options,
+        config: EngineConfig,
     ) -> Checker {
-        let mut engine = Engine::new(EngineConfig::from_options(&options));
+        let mut engine = Engine::new(config);
         let pair = engine.prepare_pair(left, ql, right, qr);
         let query = ConfRel::trivial(engine.root(pair));
         Checker {
@@ -204,7 +92,6 @@ impl Checker {
             extra_init: Vec::new(),
             standard_init: true,
             query,
-            options,
             stats: RunStats::default(),
         }
     }
@@ -266,7 +153,7 @@ impl Checker {
             standard_init: self.standard_init,
             extra_init: self.extra_init.clone(),
             query: self.query.clone(),
-            options: self.options,
+            config: self.engine.config().clone(),
         };
         let outcome = self.engine.run_prepared(self.pair, &request);
         self.stats = self.engine.last_run_stats().clone();
@@ -293,15 +180,20 @@ pub(crate) fn strict_witness_violation(
     }
 }
 
-/// One-call convenience API: language equivalence with default options,
-/// answered by a transient engine.
+/// One-call convenience API: language equivalence under
+/// [`EngineConfig::from_env`], answered by a transient engine.
+///
+/// # Panics
+///
+/// Panics when a `LEAPFROG_*` variable holds a malformed value.
 pub fn check_language_equivalence(
     left: &Automaton,
     ql: StateId,
     right: &Automaton,
     qr: StateId,
 ) -> Outcome {
-    Checker::new(left, ql, right, qr, Options::default()).run()
+    let config = EngineConfig::from_env().unwrap_or_else(|e| panic!("{e}"));
+    Checker::new(left, ql, right, qr, config).run()
 }
 
 #[cfg(test)]
@@ -385,9 +277,9 @@ mod tests {
         // Close step when early stopping is off.
         let a = parse("parser A { state s { extract(h, 2); goto accept } }").unwrap();
         let b = parse("parser B { state s { extract(h, 2); goto reject } }").unwrap();
-        let opts = Options {
+        let opts = EngineConfig {
             early_stop: false,
-            ..Options::default()
+            ..EngineConfig::from_env().unwrap()
         };
         let mut c = Checker::new(&a, state(&a, "s"), &b, state(&b, "s"), opts);
         assert!(matches!(c.run(), Outcome::NotEquivalent(_)));
@@ -453,10 +345,10 @@ mod tests {
         )
         .unwrap();
         for (leaps, pruning) in [(true, true), (true, false), (false, true), (false, false)] {
-            let opts = Options {
+            let opts = EngineConfig {
                 leaps,
                 reach_pruning: pruning,
-                ..Options::default()
+                ..EngineConfig::from_env().unwrap()
             };
             let mut c = Checker::new(&a, state(&a, "s"), &b, state(&b, "s"), opts);
             assert!(c.run().is_equivalent(), "leaps={leaps} pruning={pruning}");
@@ -477,10 +369,10 @@ mod tests {
         )
         .unwrap();
         let run = |leaps: bool, pruning: bool| {
-            let opts = Options {
+            let opts = EngineConfig {
                 leaps,
                 reach_pruning: pruning,
-                ..Options::default()
+                ..EngineConfig::from_env().unwrap()
             };
             let mut c = Checker::new(&a, state(&a, "s"), &b, state(&b, "s"), opts);
             assert!(c.run().is_equivalent());
@@ -500,9 +392,9 @@ mod tests {
                select(h) { 0b1111 => accept; _ => reject; } } }",
         )
         .unwrap();
-        let opts = Options {
+        let opts = EngineConfig {
             max_iterations: Some(1),
-            ..Options::default()
+            ..EngineConfig::from_env().unwrap()
         };
         let mut c = Checker::new(&a, state(&a, "s"), &a, state(&a, "s"), opts);
         assert!(matches!(c.run(), Outcome::Aborted(_)));
@@ -517,14 +409,26 @@ mod tests {
                select(h[0:0]) { 0b1 => accept; _ => reject; } } }",
         )
         .unwrap();
-        let mut c = Checker::new(&a, state(&a, "s"), &a, state(&a, "s"), Options::default());
+        let mut c = Checker::new(
+            &a,
+            state(&a, "s"),
+            &a,
+            state(&a, "s"),
+            EngineConfig::from_env().unwrap(),
+        );
         assert!(c.run().is_equivalent());
         assert!(c.stats().extended > 0, "{:?}", c.stats());
 
         // NotEquivalent: |R| must reflect the relations accumulated before
         // the early stop fired.
         let b = parse("parser B { state s { extract(h, 2); goto reject } }").unwrap();
-        let mut c = Checker::new(&a, state(&a, "s"), &b, state(&b, "s"), Options::default());
+        let mut c = Checker::new(
+            &a,
+            state(&a, "s"),
+            &b,
+            state(&b, "s"),
+            EngineConfig::from_env().unwrap(),
+        );
         assert!(matches!(c.run(), Outcome::NotEquivalent(_)));
         assert!(c.stats().extended > 0, "{:?}", c.stats());
 
@@ -542,15 +446,15 @@ mod tests {
             state(&big, "s"),
             &big,
             state(&big, "s"),
-            Options::default(),
+            EngineConfig::from_env().unwrap(),
         );
         assert!(probe.run().is_equivalent());
         let total = probe.stats().iterations;
         assert!(total >= 2);
         let limit = total - 1;
-        let opts = Options {
+        let opts = EngineConfig {
             max_iterations: Some(limit),
-            ..Options::default()
+            ..EngineConfig::from_env().unwrap()
         };
         let mut c = Checker::new(&big, state(&big, "s"), &big, state(&big, "s"), opts);
         assert!(matches!(c.run(), Outcome::Aborted(_)));
@@ -580,9 +484,9 @@ mod tests {
         .unwrap();
         let mut sizes = Vec::new();
         for threads in [1, 2, 8] {
-            let opts = Options {
+            let opts = EngineConfig {
                 threads,
-                ..Options::default()
+                ..EngineConfig::from_env().unwrap()
             };
             let mut c = Checker::new(&a, state(&a, "s"), &b, state(&b, "s"), opts);
             assert!(c.run().is_equivalent(), "threads={threads}");
@@ -607,7 +511,13 @@ mod tests {
                select(x[0:0]) { 0b1 => accept; _ => reject; } } }",
         )
         .unwrap();
-        let mut c = Checker::new(&a, state(&a, "s"), &b, state(&b, "s"), Options::default());
+        let mut c = Checker::new(
+            &a,
+            state(&a, "s"),
+            &b,
+            state(&b, "s"),
+            EngineConfig::from_env().unwrap(),
+        );
         assert!(c.run().is_equivalent());
         let stats = c.stats();
         assert!(stats.premises_total > 0);
@@ -642,9 +552,9 @@ mod tests {
                select(h) { 0b10 => accept; _ => reject; } } }",
         )
         .unwrap();
-        let opts = Options {
+        let opts = EngineConfig {
             strict_witness: true,
-            ..Options::default()
+            ..EngineConfig::from_env().unwrap()
         };
         let mut c = Checker::new(&a, state(&a, "s"), &b, state(&b, "s"), opts);
         match c.run() {
@@ -662,7 +572,13 @@ mod tests {
                select(h[0:0]) { 0b1 => accept; _ => reject; } } }",
         )
         .unwrap();
-        let mut c = Checker::new(&a, state(&a, "s"), &a, state(&a, "s"), Options::default());
+        let mut c = Checker::new(
+            &a,
+            state(&a, "s"),
+            &a,
+            state(&a, "s"),
+            EngineConfig::from_env().unwrap(),
+        );
         let first = match c.run() {
             Outcome::Equivalent(cert) => cert.to_json(),
             other => panic!("expected Equivalent, got {other:?}"),

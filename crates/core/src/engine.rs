@@ -63,14 +63,17 @@ use leapfrog_obs::{trace, Phase};
 use leapfrog_p4a::ast::{Automaton, StateId, Target};
 use leapfrog_p4a::sum::{sum, Sum};
 use leapfrog_smt::{
-    CheckResult, InstLedger, PortfolioConfig, QueryStats, SharedBlastCache, SmtSolver,
-    SolverConfig, DEFAULT_PORTFOLIO_MIN_CLAUSES, LBD_BUCKETS, MAX_PORTFOLIO_LANES,
+    CheckResult, InstLedger, QueryStats, SharedBlastCache, SmtSolver, SolverConfig, LBD_BUCKETS,
 };
 
 use crate::certificate::Certificate;
-use crate::checker::{strict_witness_violation, Options, Outcome};
+use crate::checker::{strict_witness_violation, Outcome};
 use crate::json::{self, Value};
 use crate::stats::RunStats;
+
+/// The default retired-to-live clause ratio that triggers a session
+/// context rebuild.
+pub const DEFAULT_SESSION_GC_RATIO: f64 = 4.0;
 
 /// The default live-clause floor under which the session GC never
 /// rebuilds a context.
@@ -85,63 +88,65 @@ pub const STATE_MEMO_FILE: &str = "warm_memos.json";
 /// File inside a state directory holding the serialized witness corpus.
 pub const STATE_CORPUS_FILE: &str = "corpus.txt";
 
-/// Typed, buildable configuration for an [`Engine`]. Subsumes every
-/// `LEAPFROG_*` tuning variable ([`EngineConfig::from_env`] is the compat
-/// path); the builder methods are the first-class one.
+/// Typed, buildable configuration for an [`Engine`] — the one engine
+/// configuration type. [`EngineConfig::new`] is pure defaults;
+/// [`EngineConfig::from_env`] is the only place an engine knob is read
+/// from the environment:
 ///
-/// | Env var | Config field |
-/// |---|---|
-/// | `LEAPFROG_THREADS` | [`threads`](Self::threads) |
-/// | `LEAPFROG_SESSION_GC` | [`session_gc_ratio`](Self::session_gc_ratio) |
-/// | `LEAPFROG_SESSION_GC_FLOOR` | [`session_gc_floor`](Self::session_gc_floor) |
-/// | `LEAPFROG_STRICT_WITNESS` | [`strict_witness`](Self::strict_witness) |
-/// | `LEAPFROG_NO_BLAST_CACHE` | [`blast_cache`](Self::blast_cache) |
-/// | `LEAPFROG_SAT_LBD` | [`sat_lbd`](Self::sat_lbd) |
-/// | `LEAPFROG_SAT_PORTFOLIO` | [`sat_portfolio`](Self::sat_portfolio) |
-/// | `LEAPFROG_SAT_PORTFOLIO_MIN_CLAUSES` | [`sat_portfolio_min_clauses`](Self::sat_portfolio_min_clauses) |
-/// | `LEAPFROG_WARM_CAP` | [`warm_capacity`](Self::warm_capacity) |
+/// | Env var | Config field | Grammar |
+/// |---|---|---|
+/// | `LEAPFROG_THREADS` | [`threads`](Self::threads) | count |
+/// | `LEAPFROG_STRICT_WITNESS` | [`strict_witness`](Self::strict_witness) | boolean |
+/// | `LEAPFROG_SESSION_GC` | [`session_gc_ratio`](Self::session_gc_ratio) | number; `0`/`off` = off |
+/// | `LEAPFROG_SESSION_GC_FLOOR` | [`session_gc_floor`](Self::session_gc_floor) | count |
+/// | `LEAPFROG_NO_BLAST_CACHE` | [`blast_cache`](Self::blast_cache) (negated) | boolean |
+/// | `LEAPFROG_SAT_LBD` | [`sat_lbd`](Self::sat_lbd) | boolean |
+/// | `LEAPFROG_WARM_CAP` | [`warm_capacity`](Self::warm_capacity) | count |
 ///
 /// Only `leaps`, `reach_pruning`, `early_stop` and `max_iterations`
 /// change *what* is computed (they are part of a query's semantic shape);
 /// everything else changes how fast.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Use bisimulations with leaps (§5.2).
+    /// Use bisimulations with leaps (§5.2). Disabling falls back to
+    /// bit-by-bit weakest preconditions.
     pub leaps: bool,
-    /// Prune the search to reachable template pairs (§5.1).
+    /// Prune the search to template pairs reachable from the query (§5.1).
+    /// Disabling considers the full template-pair space.
     pub reach_pruning: bool,
-    /// Report non-equivalence as soon as a contradicting relation joins
-    /// `R` instead of only at the final `Close` step.
+    /// Report non-equivalence as soon as a relation contradicting the
+    /// query joins `R`, instead of only at the final `Close` step. Sound:
+    /// the final check would fail on the same conjunct.
     pub early_stop: bool,
     /// Abort after this many worklist iterations (`None` = unbounded).
     pub max_iterations: Option<u64>,
     /// Worker threads (`0` = available parallelism). Inside one query they
     /// parallelize frontier generations; across a batch they parallelize
-    /// whole queries.
+    /// whole queries. Results are bit-identical at every setting.
     pub threads: usize,
-    /// Hard-error on unconfirmed witnesses for standard queries.
+    /// Treat an unconfirmed refutation witness as a hard error (panic) for
+    /// standard language-equivalence queries, where lifting must succeed.
+    /// Relational queries with a caller-supplied initial relation are
+    /// exempt: no sound generic search exists for arbitrary relational
+    /// conjuncts.
     pub strict_witness: bool,
-    /// Session clause-budget GC ratio (`None` = off).
+    /// Clause-budget GC for the per-guard incremental sessions: a session
+    /// rebuilds its solver context (re-seeding premises and persisted
+    /// CEGAR instantiations) once the clauses retired by finished queries
+    /// exceed `ratio ×` its live clauses. `None` disables the GC.
+    /// Results are bit-identical at every setting.
     pub session_gc_ratio: Option<f64>,
-    /// Live-clause floor under which a session never rebuilds.
+    /// Live-clause floor under which a session never rebuilds — small
+    /// cache-served sessions churn retired clauses quickly, and rebuilding
+    /// them costs more than it reclaims.
     pub session_gc_floor: u64,
-    /// Whether the shared structural CNF cache is enabled.
+    /// Whether the shared structural CNF cache is enabled. Results are
+    /// identical either way.
     pub blast_cache: bool,
     /// Glucose-style two-tier LBD learnt-clause management in the CDCL
     /// core (off = activity-only deletion, the ablation baseline).
     /// Verdicts and witnesses are identical either way.
     pub sat_lbd: bool,
-    /// SAT portfolio racing lanes for entailment-session solves: `0`/`1`
-    /// run the single canonical solver; `n ≥ 2` race `n`
-    /// differently-configured CDCL lanes per sufficiently large solve,
-    /// first answer wins. Models are always the canonical lane's, so
-    /// certificates and witnesses are byte-identical at every lane count.
-    pub sat_portfolio: usize,
-    /// Racing floor for the SAT portfolio: an entailment session holding
-    /// fewer live clauses than this solves on the canonical lane alone
-    /// (thread startup costs more than small instances take to solve).
-    /// Results are bit-identical at every setting.
-    pub sat_portfolio_min_clauses: usize,
     /// LRU capacity bound on the warm-state maps (`0` = unbounded): at
     /// most this many warm query-shape states, interned pairs, resident
     /// guard sessions per pool and instantiation-ledger entries stay
@@ -164,15 +169,92 @@ impl Default for EngineConfig {
             max_iterations: None,
             threads: 0,
             strict_witness: false,
-            session_gc_ratio: Some(crate::checker::DEFAULT_SESSION_GC_RATIO),
+            session_gc_ratio: Some(DEFAULT_SESSION_GC_RATIO),
             session_gc_floor: DEFAULT_SESSION_GC_FLOOR,
             blast_cache: true,
             sat_lbd: true,
-            sat_portfolio: 0,
-            sat_portfolio_min_clauses: DEFAULT_PORTFOLIO_MIN_CLAUSES,
             warm_capacity: 0,
             state_dir: None,
         }
+    }
+}
+
+/// A malformed `LEAPFROG_*` value, reported by [`EngineConfig::from_env`]
+/// instead of being silently replaced by a default.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The variable's name.
+    pub var: &'static str,
+    /// The value it held.
+    pub value: String,
+    /// What the variable's grammar accepts.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}={:?}: expected {}",
+            self.var, self.value, self.expected
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// One looked-up variable: its name and its non-blank value.
+type Setting = Option<(&'static str, String)>;
+
+/// The boolean grammar shared by every flag variable.
+fn flag_word(value: &str) -> Option<bool> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "1" | "true" | "on" | "yes" => Some(true),
+        "0" | "false" | "off" | "no" => Some(false),
+        _ => None,
+    }
+}
+
+fn parse_flag(setting: Setting) -> Result<Option<bool>, ConfigError> {
+    setting
+        .map(|(var, value)| {
+            flag_word(&value).ok_or(ConfigError {
+                var,
+                value,
+                expected: "a boolean (1/0, true/false, on/off, yes/no)",
+            })
+        })
+        .transpose()
+}
+
+/// The number grammar shared by every count variable: a plain
+/// non-negative decimal integer.
+fn parse_number<T: std::str::FromStr>(setting: Setting) -> Result<Option<T>, ConfigError> {
+    setting
+        .map(|(var, value)| {
+            value.trim().parse().map_err(|_| ConfigError {
+                var,
+                value,
+                expected: "a non-negative integer",
+            })
+        })
+        .transpose()
+}
+
+/// `LEAPFROG_SESSION_GC`: a false flag or a zero ratio turns the GC off;
+/// anything else must be a positive, finite ratio.
+fn parse_gc_ratio((var, value): (&'static str, String)) -> Result<Option<f64>, ConfigError> {
+    if flag_word(&value) == Some(false) {
+        return Ok(None);
+    }
+    match value.trim().parse::<f64>() {
+        Ok(0.0) => Ok(None),
+        Ok(r) if r.is_finite() && r > 0.0 => Ok(Some(r)),
+        _ => Err(ConfigError {
+            var,
+            value,
+            expected: "a positive ratio, or 0/off to disable the GC",
+        }),
     }
 }
 
@@ -183,67 +265,55 @@ impl EngineConfig {
         EngineConfig::default()
     }
 
-    /// The environment-compat constructor: reads every `LEAPFROG_*`
-    /// tuning variable into its config field (see the type-level table).
-    pub fn from_env() -> EngineConfig {
-        EngineConfig {
-            threads: threads_from_env(),
-            strict_witness: strict_witness_from_env(),
-            session_gc_ratio: session_gc_from_env(),
-            session_gc_floor: session_gc_floor_from_env(),
-            blast_cache: std::env::var("LEAPFROG_NO_BLAST_CACHE").as_deref() != Ok("1"),
-            sat_lbd: std::env::var("LEAPFROG_SAT_LBD").as_deref() != Ok("0"),
-            sat_portfolio: std::env::var("LEAPFROG_SAT_PORTFOLIO")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            sat_portfolio_min_clauses: portfolio_min_clauses_from_env(),
-            warm_capacity: warm_capacity_from_env(),
-            ..EngineConfig::default()
-        }
+    /// The defaults overridden by every `LEAPFROG_*` variable that is set
+    /// and non-blank (see the type-level table). A malformed value is an
+    /// error naming the variable, never a silent default.
+    pub fn from_env() -> Result<EngineConfig, ConfigError> {
+        EngineConfig::from_lookup(|var| {
+            std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
+        })
     }
 
-    /// Lifts per-query [`Options`] into an engine configuration (the
-    /// compat direction used by the [`Checker`](crate::Checker) wrapper).
-    pub fn from_options(o: &Options) -> EngineConfig {
-        EngineConfig {
-            leaps: o.leaps,
-            reach_pruning: o.reach_pruning,
-            early_stop: o.early_stop,
-            max_iterations: o.max_iterations,
-            threads: o.threads,
-            strict_witness: o.strict_witness,
-            session_gc_ratio: o.session_gc_ratio,
-            session_gc_floor: o.session_gc_floor,
-            blast_cache: o.blast_cache,
-            sat_lbd: o.sat_lbd,
-            sat_portfolio: o.sat_portfolio,
-            sat_portfolio_min_clauses: o.sat_portfolio_min_clauses,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Projects this configuration onto per-query [`Options`].
-    pub fn options(&self) -> Options {
-        Options {
-            leaps: self.leaps,
-            reach_pruning: self.reach_pruning,
-            early_stop: self.early_stop,
-            max_iterations: self.max_iterations,
-            threads: self.threads,
-            strict_witness: self.strict_witness,
-            session_gc_ratio: self.session_gc_ratio,
-            session_gc_floor: self.session_gc_floor,
-            blast_cache: self.blast_cache,
-            sat_lbd: self.sat_lbd,
-            sat_portfolio: self.sat_portfolio,
-            sat_portfolio_min_clauses: self.sat_portfolio_min_clauses,
-        }
+    /// [`EngineConfig::from_env`] over an explicit variable lookup
+    /// (`None` = unset), so tests exercise the parser without touching
+    /// the process environment.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<EngineConfig, ConfigError> {
+        let get = |var: &'static str| -> Setting {
+            lookup(var)
+                .filter(|v| !v.trim().is_empty())
+                .map(|v| (var, v))
+        };
+        let d = EngineConfig::default();
+        Ok(EngineConfig {
+            threads: parse_number(get("LEAPFROG_THREADS"))?.unwrap_or(d.threads),
+            strict_witness: parse_flag(get("LEAPFROG_STRICT_WITNESS"))?.unwrap_or(d.strict_witness),
+            session_gc_ratio: match get("LEAPFROG_SESSION_GC") {
+                Some(setting) => parse_gc_ratio(setting)?,
+                None => d.session_gc_ratio,
+            },
+            session_gc_floor: parse_number(get("LEAPFROG_SESSION_GC_FLOOR"))?
+                .unwrap_or(d.session_gc_floor),
+            blast_cache: !parse_flag(get("LEAPFROG_NO_BLAST_CACHE"))?.unwrap_or(!d.blast_cache),
+            sat_lbd: parse_flag(get("LEAPFROG_SAT_LBD"))?.unwrap_or(d.sat_lbd),
+            warm_capacity: parse_number(get("LEAPFROG_WARM_CAP"))?.unwrap_or(d.warm_capacity),
+            ..d
+        })
     }
 
     /// The worker-thread count this configuration resolves to.
     pub fn effective_threads(&self) -> usize {
-        self.options().effective_threads()
+        if self.threads != 0 {
+            self.threads
+        } else {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        }
+    }
+
+    /// The CDCL configuration every solver this engine builds runs under.
+    fn solver_config(&self) -> SolverConfig {
+        SolverConfig { lbd: self.sat_lbd }
     }
 
     /// Sets the worker-thread count (builder style).
@@ -307,20 +377,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the SAT portfolio lane count (builder style; `0`/`1` = no
-    /// racing).
-    pub fn sat_portfolio(mut self, lanes: usize) -> Self {
-        self.sat_portfolio = lanes;
-        self
-    }
-
-    /// Sets the SAT portfolio racing floor (builder style): sessions with
-    /// fewer live clauses than this solve on the canonical lane alone.
-    pub fn sat_portfolio_min_clauses(mut self, clauses: usize) -> Self {
-        self.sat_portfolio_min_clauses = clauses;
-        self
-    }
-
     /// Sets the LRU capacity bound on the warm-state maps (builder style;
     /// `0` = unbounded).
     pub fn warm_capacity(mut self, cap: usize) -> Self {
@@ -340,60 +396,6 @@ impl EngineConfig {
     pub fn build(self) -> Engine {
         Engine::new(self)
     }
-}
-
-pub(crate) fn threads_from_env() -> usize {
-    std::env::var("LEAPFROG_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-pub(crate) fn strict_witness_from_env() -> bool {
-    matches!(
-        std::env::var("LEAPFROG_STRICT_WITNESS").as_deref(),
-        Ok("1") | Ok("true")
-    )
-}
-
-pub(crate) fn session_gc_from_env() -> Option<f64> {
-    match std::env::var("LEAPFROG_SESSION_GC") {
-        Ok(s) => {
-            let t = s.trim();
-            if t.eq_ignore_ascii_case("off") {
-                return None;
-            }
-            match t.parse::<f64>() {
-                // Any spelling of a non-positive ratio ("0", "0.0", "0e0")
-                // disables the GC, matching the documented contract.
-                Ok(r) if r.is_finite() && r > 0.0 => Some(r),
-                Ok(_) => None,
-                Err(_) => Some(crate::checker::DEFAULT_SESSION_GC_RATIO),
-            }
-        }
-        Err(_) => Some(crate::checker::DEFAULT_SESSION_GC_RATIO),
-    }
-}
-
-pub(crate) fn session_gc_floor_from_env() -> u64 {
-    std::env::var("LEAPFROG_SESSION_GC_FLOOR")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SESSION_GC_FLOOR)
-}
-
-pub(crate) fn warm_capacity_from_env() -> usize {
-    std::env::var("LEAPFROG_WARM_CAP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-pub(crate) fn portfolio_min_clauses_from_env() -> usize {
-    std::env::var("LEAPFROG_SAT_PORTFOLIO_MIN_CLAUSES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_PORTFOLIO_MIN_CLAUSES)
 }
 
 /// A handle to an automaton pair interned by [`Engine::prepare_pair`]:
@@ -455,8 +457,10 @@ pub struct QueryRequest {
     pub extra_init: Vec<ConfRel>,
     /// The query `φ` at the root guard.
     pub query: ConfRel,
-    /// Per-query options (semantic knobs + scheduling).
-    pub options: Options,
+    /// The configuration this query runs under: its semantic knobs
+    /// (`leaps`, `reach_pruning`, `early_stop`, `max_iterations`) plus
+    /// scheduling and solver settings.
+    pub config: EngineConfig,
 }
 
 /// Recipient for confirmed refutation witnesses found by named checks
@@ -591,10 +595,10 @@ impl WarmKey {
             standard_init: req.standard_init,
             extra_init: req.extra_init.clone(),
             query: req.query.clone(),
-            leaps: req.options.leaps,
-            reach_pruning: req.options.reach_pruning,
-            early_stop: req.options.early_stop,
-            max_iterations: req.options.max_iterations,
+            leaps: req.config.leaps,
+            reach_pruning: req.config.reach_pruning,
+            early_stop: req.config.early_stop,
+            max_iterations: req.config.max_iterations,
         }
     }
 }
@@ -819,23 +823,6 @@ mod meters {
         LazyCounter::new("leapfrog_sat_lbd_8_plus_total"),
     ];
     pub static QUERY_SECONDS: LazyHistogram = LazyHistogram::new("leapfrog_query_seconds");
-    pub static SAT_PORTFOLIO_RACES: LazyCounter =
-        LazyCounter::new("leapfrog_sat_portfolio_races_total");
-    pub static SAT_PORTFOLIO_SOLO: LazyCounter =
-        LazyCounter::new("leapfrog_sat_portfolio_solo_total");
-    /// Portfolio race wins as one counter per lane (the registry has no
-    /// label support, so the lane index is baked into the metric name,
-    /// mirroring the LBD bucket counters above).
-    pub static SAT_PORTFOLIO_WINS: [LazyCounter; super::MAX_PORTFOLIO_LANES] = [
-        LazyCounter::new("leapfrog_sat_portfolio_wins_0_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_1_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_2_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_3_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_4_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_5_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_6_total"),
-        LazyCounter::new("leapfrog_sat_portfolio_wins_7_total"),
-    ];
 }
 
 /// Per-query trace context: opened before any per-query work (so the
@@ -1268,7 +1255,7 @@ impl Engine {
             standard_init: true,
             extra_init: Vec::new(),
             query: ConfRel::trivial(self.root(pid)),
-            options: self.config.options(),
+            config: self.config.clone(),
         }
     }
 
@@ -1315,12 +1302,12 @@ impl Engine {
     }
 
     fn run_prepared_traced(&mut self, pid: PairId, req: &QueryRequest, qt: QueryTrace) -> Outcome {
-        let opts = req.options;
-        let (scope, reach_hit) = self.scope_for(pid, opts.leaps, opts.reach_pruning);
+        let cfg = &req.config;
+        let (scope, reach_hit) = self.scope_for(pid, cfg.leaps, cfg.reach_pruning);
         let key = WarmKey::of(req);
         self.tick += 1;
         let tick = self.tick;
-        let mut solver = SmtSolver::with_shared_cache(self.cache.clone());
+        let mut solver = SmtSolver::with_shared_cache(self.cache.clone(), cfg.solver_config());
         let pair = self.pair_mut(pid);
         pair.last_used = tick;
         let mut warm = pair.warm.remove(&key).unwrap_or_default();
@@ -1370,12 +1357,6 @@ impl Engine {
         meters::SAT_LEARNT_DELETED.add(sat.deleted_clauses);
         for (bucket, n) in meters::SAT_LBD_BUCKETS.iter().zip(sat.lbd_histogram) {
             bucket.add(n);
-        }
-        let portfolio = &stats.queries.portfolio;
-        meters::SAT_PORTFOLIO_RACES.add(portfolio.races);
-        meters::SAT_PORTFOLIO_SOLO.add(portfolio.solo);
-        for (lane, n) in meters::SAT_PORTFOLIO_WINS.iter().zip(portfolio.wins) {
-            lane.add(n);
         }
     }
 
@@ -1521,16 +1502,14 @@ impl Engine {
                 indices: Vec<usize>,
                 results: Vec<(usize, Outcome, RunStats)>,
             }
-            let mut inner_opts = self.config.options();
-            inner_opts.threads = 1;
+            let inner = self.config.clone().threads(1);
             let mut tasks: Vec<GroupTask> = groups
                 .into_iter()
                 .map(|(pid, indices)| {
-                    let (scope, reach_hit) =
-                        self.scope_for(pid, inner_opts.leaps, inner_opts.reach_pruning);
+                    let (scope, reach_hit) = self.scope_for(pid, inner.leaps, inner.reach_pruning);
                     merged.reach_cache_hits += reach_hit as u64;
                     let mut req = self.standard_request(pid);
-                    req.options = inner_opts;
+                    req.config = inner.clone();
                     let key = WarmKey::of(&req);
                     let pair = self.pair_mut(pid);
                     let prior_runs = pair.runs;
@@ -1567,7 +1546,10 @@ impl Engine {
                             continue;
                         };
                         for &qi in &task.indices {
-                            let mut solver = SmtSolver::with_shared_cache(cache.clone());
+                            let mut solver = SmtSolver::with_shared_cache(
+                                cache.clone(),
+                                task.req.config.solver_config(),
+                            );
                             let mut stats = RunStats::default();
                             let outcome = run_worklist(
                                 &task.aut,
@@ -1693,7 +1675,7 @@ fn run_worklist(
     stats: &mut RunStats,
 ) -> Outcome {
     let start = Instant::now();
-    let opts = &req.options;
+    let opts = &req.config;
     let threads = opts.effective_threads();
     stats.scope_pairs = scope.len();
     stats.threads = threads;
@@ -1704,19 +1686,7 @@ fn run_worklist(
         gc_ratio: opts.session_gc_ratio,
         gc_floor: opts.session_gc_floor,
         ledger: Some(ledger.clone()),
-        sat: {
-            let base = SolverConfig {
-                lbd: opts.sat_lbd,
-                ..SolverConfig::default()
-            };
-            let mut sat = if opts.sat_portfolio >= 2 {
-                PortfolioConfig::race(base, opts.sat_portfolio)
-            } else {
-                PortfolioConfig::single(base)
-            };
-            sat.min_clauses = opts.sat_portfolio_min_clauses;
-            sat
-        },
+        sat: opts.solver_config(),
     };
     warm.ensure_pools(threads, &session_cfg);
     let mut main_pool = warm.main_pool.take().expect("ensured above");
@@ -1967,7 +1937,7 @@ fn memo_covers_generation(
 ///
 /// # Panics
 ///
-/// Panics when [`Options::strict_witness`] is set, the query is a
+/// Panics when [`EngineConfig::strict_witness`] is set, the query is a
 /// standard language-equivalence query, and the countermodel could not
 /// be lifted into a confirmed witness.
 #[allow(clippy::too_many_arguments)]
@@ -1975,7 +1945,7 @@ fn query_violation(
     aut: &Automaton,
     query: &ConfRel,
     standard_init: bool,
-    opts: &Options,
+    opts: &EngineConfig,
     rho: &ConfRel,
     id: usize,
     prov: &[(Arc<ConfRel>, Option<usize>)],
@@ -2129,13 +2099,20 @@ mod tests {
         assert_eq!(unbounded.stats().pair_evictions, 0);
     }
 
+    /// A per-test scratch directory under the workspace's `target/tmp`.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp")
+            .join(format!(
+                "leapfrog-engine-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ))
+    }
+
     #[test]
     fn state_round_trips_through_a_directory() {
-        let dir = std::env::temp_dir().join(format!(
-            "leapfrog-engine-state-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let dir = scratch_dir("state");
         let _ = std::fs::remove_dir_all(&dir);
         let (a, sa, b, sb) = pair_a();
 
@@ -2196,11 +2173,7 @@ mod tests {
 
     #[test]
     fn routed_memo_import_partitions_by_fingerprint() {
-        let dir = std::env::temp_dir().join(format!(
-            "leapfrog-engine-merge-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let dir = scratch_dir("merge");
         let _ = std::fs::remove_dir_all(&dir);
         let (a, sa, b, sb) = pair_a();
         let (c, sc, d, sd) = pair_b();
@@ -2287,5 +2260,95 @@ mod tests {
             "the freed slot must be reused, not a new one pushed"
         );
         assert!(engine.sum_automaton(fresh).num_states() > 0);
+    }
+
+    /// A variable lookup over a fixed list, standing in for the process
+    /// environment.
+    fn vars<'a>(list: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            list.iter()
+                .find(|(var, _)| *var == name)
+                .map(|(_, value)| value.to_string())
+        }
+    }
+
+    #[test]
+    fn from_lookup_reads_every_engine_knob() {
+        let cfg = EngineConfig::from_lookup(vars(&[
+            ("LEAPFROG_THREADS", "3"),
+            ("LEAPFROG_STRICT_WITNESS", "true"),
+            ("LEAPFROG_SESSION_GC", "2.5"),
+            ("LEAPFROG_SESSION_GC_FLOOR", "64"),
+            ("LEAPFROG_NO_BLAST_CACHE", "yes"),
+            ("LEAPFROG_SAT_LBD", "off"),
+            ("LEAPFROG_WARM_CAP", " 9 "),
+        ]))
+        .unwrap();
+        assert_eq!(cfg.threads, 3);
+        assert!(cfg.strict_witness);
+        assert_eq!(cfg.session_gc_ratio, Some(2.5));
+        assert_eq!(cfg.session_gc_floor, 64);
+        assert!(!cfg.blast_cache);
+        assert!(!cfg.sat_lbd);
+        assert_eq!(cfg.warm_capacity, 9);
+        // Semantic knobs never come from the environment.
+        assert!(cfg.leaps && cfg.reach_pruning && cfg.early_stop);
+    }
+
+    #[test]
+    fn unset_and_blank_variables_keep_the_defaults() {
+        let cfg = EngineConfig::from_lookup(vars(&[("LEAPFROG_THREADS", " ")])).unwrap();
+        assert_eq!(format!("{cfg:?}"), format!("{:?}", EngineConfig::new()));
+    }
+
+    #[test]
+    fn every_flag_shares_one_boolean_grammar() {
+        for (value, on) in [("1", true), ("TRUE", true), ("on", true), ("yes", true)]
+            .into_iter()
+            .chain([
+                ("0", false),
+                ("false", false),
+                ("Off", false),
+                ("no", false),
+            ])
+        {
+            let cfg = EngineConfig::from_lookup(vars(&[
+                ("LEAPFROG_STRICT_WITNESS", value),
+                ("LEAPFROG_NO_BLAST_CACHE", value),
+                ("LEAPFROG_SAT_LBD", value),
+            ]))
+            .unwrap();
+            assert_eq!(cfg.strict_witness, on, "{value}");
+            assert_eq!(cfg.blast_cache, !on, "{value}");
+            assert_eq!(cfg.sat_lbd, on, "{value}");
+        }
+        for off in ["0", "0.0", "0e0", "off", "false", "no"] {
+            let cfg = EngineConfig::from_lookup(vars(&[("LEAPFROG_SESSION_GC", off)])).unwrap();
+            assert_eq!(cfg.session_gc_ratio, None, "{off}");
+        }
+    }
+
+    #[test]
+    fn malformed_values_are_errors_naming_the_variable() {
+        for (var, value) in [
+            ("LEAPFROG_THREADS", "four"),
+            ("LEAPFROG_THREADS", "-1"),
+            ("LEAPFROG_STRICT_WITNESS", "enabled"),
+            ("LEAPFROG_SESSION_GC", "abc"),
+            ("LEAPFROG_SESSION_GC", "-2"),
+            ("LEAPFROG_SESSION_GC", "inf"),
+            ("LEAPFROG_SESSION_GC_FLOOR", "1e3"),
+            ("LEAPFROG_NO_BLAST_CACHE", "2"),
+            ("LEAPFROG_SAT_LBD", "maybe"),
+            ("LEAPFROG_WARM_CAP", "lots"),
+        ] {
+            let err = EngineConfig::from_lookup(vars(&[(var, value)])).unwrap_err();
+            assert_eq!((err.var, err.value.as_str()), (var, value));
+            let message = err.to_string();
+            assert!(
+                message.contains(var) && message.contains(value),
+                "{message}"
+            );
+        }
     }
 }

@@ -43,7 +43,7 @@
 //! remain as thin wrappers over a transient engine:
 //!
 //! ```
-//! use leapfrog::{Checker, Options, Outcome};
+//! use leapfrog::{Checker, EngineConfig, Outcome};
 //! use leapfrog_p4a::surface::parse;
 //!
 //! let a = parse("parser A { state s { extract(h, 2); goto accept; } }").unwrap();
@@ -51,7 +51,7 @@
 //!                           state t { extract(k, 1); goto accept; } }").unwrap();
 //! let sa = a.state_by_name("s").unwrap();
 //! let sb = b.state_by_name("s").unwrap();
-//! let mut checker = Checker::new(&a, sa, &b, sb, Options::default());
+//! let mut checker = Checker::new(&a, sa, &b, sb, EngineConfig::from_env().unwrap());
 //! match checker.run() {
 //!     Outcome::Equivalent(cert) => {
 //!         assert!(leapfrog::certificate::check(&checker.sum_automaton(), &cert).is_ok());
@@ -85,10 +85,10 @@ pub mod json;
 pub mod stats;
 
 pub use certificate::{Certificate, CertificateError};
-pub use checker::{Checker, Options, Outcome, Property};
+pub use checker::{Checker, Outcome, Property};
 pub use engine::{
-    route_fingerprint, Engine, EngineConfig, EngineStats, PairId, QueryRequest, QuerySpec,
-    WitnessSink,
+    route_fingerprint, ConfigError, Engine, EngineConfig, EngineStats, PairId, QueryRequest,
+    QuerySpec, WitnessSink,
 };
 pub use explicit::{check_explicit, ExplicitResult};
 pub use stats::RunStats;

@@ -62,7 +62,7 @@ pub struct LoweredVars {
 }
 
 /// Decides `⋀ premises ⊨ conclusion` using a stateful solver (records
-/// statistics, honours `LEAPFROG_DUMP_SMT`).
+/// statistics).
 pub fn entails(
     aut: &Automaton,
     premises: &[ConfRel],

@@ -18,8 +18,8 @@ fn main() {
         Some(addr) => addr,
         None => {
             // Self-contained mode: serve from this process.
-            let server =
-                Server::bind("127.0.0.1:0", ServerOptions::default()).expect("bind a free port");
+            let server = Server::bind("127.0.0.1:0", ServerOptions::from_env().unwrap())
+                .expect("bind a free port");
             let addr = server.local_addr().unwrap().to_string();
             std::thread::spawn(move || server.run().unwrap());
             println!("(spawned an in-process server on {addr})");

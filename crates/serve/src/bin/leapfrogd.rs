@@ -19,14 +19,18 @@
 //! (`EngineConfig::from_env()`: threads, session GC, blast cache,
 //! `LEAPFROG_WARM_CAP`); named rows are built at `LEAPFROG_SCALE`;
 //! admission control reads `LEAPFROG_QUEUE_DEPTH` and
-//! `LEAPFROG_CLIENT_QUOTA`.
+//! `LEAPFROG_CLIENT_QUOTA`. A malformed engine knob is reported and the
+//! daemon exits with status 2.
 
 use leapfrog_serve::{Server, ServerOptions};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut addr = "127.0.0.1:0".to_string();
-    let mut opts = ServerOptions::default();
+    let mut opts = ServerOptions::from_env().unwrap_or_else(|e| {
+        eprintln!("leapfrogd: {e}");
+        std::process::exit(2);
+    });
     let mut port_file: Option<String> = None;
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {

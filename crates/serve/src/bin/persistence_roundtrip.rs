@@ -89,7 +89,11 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let warm_cap = EngineConfig::from_env().warm_capacity;
+    let config = EngineConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("persistence_roundtrip: {e}");
+        std::process::exit(2);
+    });
+    let warm_cap = config.warm_capacity;
     let rows = rows();
     println!(
         "persistence roundtrip: {} rows, state dir {}, warm cap {}",
@@ -103,7 +107,7 @@ fn main() {
     );
 
     // Pass 1: cold engine, then save.
-    let mut cold = Engine::new(EngineConfig::from_env().with_state_dir(&state_dir));
+    let mut cold = Engine::new(config.clone().with_state_dir(&state_dir));
     cold.attach_witness_sink(Box::new(WitnessCorpus::new()));
     let first = run_pass(&mut cold, &rows);
     if let Err(e) = cold.save_state(&state_dir) {
@@ -117,7 +121,7 @@ fn main() {
     );
 
     // Pass 2: a brand-new engine restarted from the saved state.
-    let mut restarted = Engine::new(EngineConfig::from_env().with_state_dir(&state_dir));
+    let mut restarted = Engine::new(config.with_state_dir(&state_dir));
     restarted.attach_witness_sink(Box::new(WitnessCorpus::new()));
     match restarted.state_report() {
         Some(report) => println!("pass 2 (restart): {report}"),

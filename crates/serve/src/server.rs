@@ -48,7 +48,7 @@ use leapfrog::engine::{
     route_fingerprint, STATE_BLAST_FILE, STATE_CORPUS_FILE, STATE_LEDGER_FILE, STATE_MEMO_FILE,
 };
 use leapfrog::json::{self, Value};
-use leapfrog::{Engine, EngineConfig, QuerySpec};
+use leapfrog::{ConfigError, Engine, EngineConfig, QuerySpec};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::surface;
 use leapfrog_suite::corpus::WitnessCorpus;
@@ -121,16 +121,21 @@ fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 
-impl Default for ServerOptions {
-    fn default() -> Self {
-        ServerOptions {
-            config: EngineConfig::from_env(),
+impl ServerOptions {
+    /// The daemon's defaults read from the environment: the engine
+    /// configuration from [`EngineConfig::from_env`] (whose error a
+    /// malformed engine knob surfaces as), the deployment knobs from
+    /// `LEAPFROG_SCALE`, `LEAPFROG_WORKERS`, `LEAPFROG_QUEUE_DEPTH` and
+    /// `LEAPFROG_CLIENT_QUOTA`.
+    pub fn from_env() -> Result<ServerOptions, ConfigError> {
+        Ok(ServerOptions {
+            config: EngineConfig::from_env()?,
             state_dir: None,
             scale: Scale::from_env(),
             workers: env_usize("LEAPFROG_WORKERS").unwrap_or(1),
             queue_depth: env_usize("LEAPFROG_QUEUE_DEPTH").unwrap_or(256),
             client_quota: env_usize("LEAPFROG_CLIENT_QUOTA").unwrap_or(0),
-        }
+        })
     }
 }
 
@@ -522,16 +527,16 @@ fn run_checks(engine: &mut Engine, checks: Vec<ResolvedCheck>) {
         let pid = engine.prepare_pair(&c.left, c.ql, &c.right, c.qr);
         let mut req = engine.standard_request(pid);
         if let Some(b) = c.options.leaps {
-            req.options.leaps = b;
+            req.config.leaps = b;
         }
         if let Some(b) = c.options.reach_pruning {
-            req.options.reach_pruning = b;
+            req.config.reach_pruning = b;
         }
         if let Some(b) = c.options.early_stop {
-            req.options.early_stop = b;
+            req.config.early_stop = b;
         }
         if let Some(n) = c.options.max_iterations {
-            req.options.max_iterations = Some(n);
+            req.config.max_iterations = Some(n);
         }
         let outcome = engine.run_prepared(pid, &req);
         let stats = run_stats_to_value(engine.last_run_stats());

@@ -17,7 +17,7 @@ fn start(
         workers,
         state_dir: state_dir.map(Into::into),
         scale: Scale::Small,
-        ..ServerOptions::default()
+        ..ServerOptions::from_env().unwrap()
     };
     let server = Server::bind("127.0.0.1:0", opts).expect("bind a free port");
     let addr = server.local_addr().unwrap().to_string();

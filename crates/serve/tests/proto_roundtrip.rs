@@ -13,13 +13,13 @@ use leapfrog::{Outcome, RunStats};
 use leapfrog_obs::{PhaseBreakdown, PhaseStat, PHASES};
 use leapfrog_serve::proto::{
     fleet_stats_from_value, fleet_stats_to_value, outcome_to_value, overloaded_from_value,
-    overloaded_to_value, portfolio_stats_from_value, portfolio_stats_to_value, request_from_value,
+    overloaded_to_value, query_stats_from_value, query_stats_to_value, request_from_value,
     request_to_value, run_stats_from_value, run_stats_to_value, verify_reply_from_value,
     verify_reply_to_value, wire_outcome_from_value, wire_outcome_to_value, wire_witness_of,
     EngineStatsReply, FleetStats, OverloadScope, Overloaded, PairSpec, Request, VerifyReply,
     WireOptions, WireOutcome,
 };
-use leapfrog_smt::{PortfolioStats, QueryStats, SolverStats};
+use leapfrog_smt::{QueryStats, SolverStats};
 use leapfrog_suite::mutants::mutant_benchmarks;
 use leapfrog_suite::utility::sloppy_strict;
 use leapfrog_suite::{standard_benchmarks, Scale};
@@ -178,23 +178,6 @@ fn run_stats_roundtrip_randomized() {
                     learnt_clauses: next() % 1_000_000,
                     lbd_histogram: std::array::from_fn(|_| next() % 100_000),
                 },
-                portfolio: PortfolioStats {
-                    lanes: next() % 8,
-                    races: next() % 10_000,
-                    solo: next() % 10_000,
-                    wins: std::array::from_fn(|_| next() % 10_000),
-                    lane_stats: (0..(next() % 4))
-                        .map(|_| SolverStats {
-                            decisions: next() % 1_000_000,
-                            propagations: next() % 100_000_000,
-                            conflicts: next() % 1_000_000,
-                            restarts: next() % 10_000,
-                            deleted_clauses: next() % 1_000_000,
-                            learnt_clauses: next() % 1_000_000,
-                            lbd_histogram: std::array::from_fn(|_| next() % 100_000),
-                        })
-                        .collect(),
-                },
                 durations: (0..(next() % 8))
                     .map(|_| Duration::from_nanos(next() % 5_000_000_000))
                     .collect(),
@@ -300,25 +283,40 @@ fn fleet_stats_rejects_mislabelled_shards() {
 }
 
 #[test]
-fn portfolio_frames_with_out_of_range_lane_counts_are_rejected() {
-    let stats = PortfolioStats {
-        lanes: 2,
-        ..PortfolioStats::default()
+fn legacy_query_stats_frames_with_a_portfolio_object_decode_unchanged() {
+    // Peers that predate the single-solver SAT core sent a `portfolio`
+    // object inside the query statistics; the decoder must skip it and
+    // yield exactly what the same frame without that key yields.
+    let stats = QueryStats {
+        queries: 7,
+        cegar_rounds: 3,
+        sat: SolverStats {
+            conflicts: 11,
+            ..SolverStats::default()
+        },
+        durations: vec![Duration::from_nanos(1234)],
+        ..QueryStats::default()
     };
-    let mut v = portfolio_stats_to_value(&stats);
-    portfolio_stats_from_value(&v).expect("in-range lane count decodes");
-    // Tamper the lane count past the histogram width: consumers slice the
-    // wins array by it, so the decoder must reject rather than let a
-    // malformed frame panic whoever formats the stats.
-    if let json::Value::Obj(fields) = &mut v {
-        for (k, val) in fields.iter_mut() {
-            if k == "lanes" {
-                *val = json::Value::Num(9.0);
-            }
-        }
-    }
-    let err = portfolio_stats_from_value(&v).expect_err("lanes above the cap must be rejected");
-    assert!(err.contains("lane count"), "unexpected error: {err}");
+    let current = query_stats_to_value(&stats);
+    let mut legacy = current.clone();
+    let json::Value::Obj(fields) = &mut legacy else {
+        panic!("query stats encode as an object");
+    };
+    let old_object = json::parse(
+        r#"{"lanes": 2, "races": 5, "solo": 9, "wins": [3, 2, 0, 0, 0, 0, 0, 0],
+            "lane_stats": []}"#,
+    )
+    .unwrap();
+    fields.push(("portfolio".to_string(), old_object));
+    let from_legacy = query_stats_from_value(&json::parse(&legacy.render()).unwrap())
+        .expect("a legacy frame decodes");
+    let from_current = query_stats_from_value(&current).expect("a current frame decodes");
+    assert_eq!(format!("{from_legacy:?}"), format!("{from_current:?}"));
+    assert_eq!(
+        query_stats_to_value(&from_legacy).render(),
+        current.render(),
+        "the legacy key must not survive a re-encode"
+    );
 }
 
 #[test]

@@ -27,10 +27,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use leapfrog_bitvec::BitVec;
-use leapfrog_sat::{
-    Lit, Portfolio, PortfolioConfig, PortfolioStats, SolveResult, Solver, SolverConfig,
-    SolverStats, Var,
-};
+use leapfrog_sat::{Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
 
 use crate::term::{BvVar, Declarations, Formula, Model, Term};
 
@@ -60,15 +57,6 @@ impl ClauseSink for Solver {
     }
     fn add_clause(&mut self, lits: &[Lit]) -> bool {
         Solver::add_clause(self, lits)
-    }
-}
-
-impl ClauseSink for Portfolio {
-    fn fresh_lit(&mut self) -> Lit {
-        Lit::pos(self.new_var())
-    }
-    fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        Portfolio::add_clause(self, lits)
     }
 }
 
@@ -279,16 +267,9 @@ fn negate(b: BBit) -> BBit {
     }
 }
 
-/// An incremental bit-blasting context over a CDCL solver portfolio.
-///
-/// With one configured lane (the default) this is exactly the old
-/// single-solver context; with `LEAPFROG_SAT_PORTFOLIO=N` (or an explicit
-/// [`PortfolioConfig`]) every solve large enough to clear the racing floor
-/// is raced across the lanes. Models always come from the canonical lane,
-/// so everything downstream of a context is byte-identical at any lane
-/// count (see [`leapfrog_sat::Portfolio`] for the argument).
+/// An incremental bit-blasting context over one CDCL solver.
 pub struct BlastContext {
-    engine: Engine<Portfolio>,
+    engine: Engine<Solver>,
 }
 
 impl Default for BlastContext {
@@ -298,40 +279,21 @@ impl Default for BlastContext {
 }
 
 impl BlastContext {
-    /// Creates an empty context over a solver portfolio configured from
-    /// the `LEAPFROG_SAT_*` environment (the ambient-compat path).
+    /// Creates an empty context over a default-configured solver.
     pub fn new() -> Self {
-        BlastContext::with_portfolio(PortfolioConfig::from_env())
+        BlastContext::with_config(SolverConfig::default())
     }
 
-    /// Creates an empty single-lane context with an explicit solver
-    /// configuration — the typed path engines use so the knob is read
-    /// once at engine construction, not once per query context.
+    /// Creates an empty context with an explicit solver configuration.
     pub fn with_config(cfg: SolverConfig) -> Self {
-        BlastContext::with_portfolio(PortfolioConfig::single(cfg))
-    }
-
-    /// Creates an empty context over an explicit solver portfolio — the
-    /// typed racing path (`EngineConfig::sat_portfolio`).
-    pub fn with_portfolio(cfg: PortfolioConfig) -> Self {
         BlastContext {
-            engine: Engine::new(Portfolio::with_config(cfg)),
+            engine: Engine::new(Solver::with_config(cfg)),
         }
     }
 
-    /// Access to the canonical lane's solver, for statistics. Counters
-    /// read here are intentionally comparable with a portfolio-off run;
-    /// the racing lanes report via [`BlastContext::portfolio_stats`].
-    /// Takes `&mut self` because the portfolio may first have to wait out
-    /// a background canonical catch-up (see [`Portfolio::canonical`]).
-    pub fn solver(&mut self) -> &Solver {
-        self.engine.sink.canonical()
-    }
-
-    /// Racing statistics for this context's portfolio: race/solo counts,
-    /// the per-lane win histogram and per-lane solver counters.
-    pub fn portfolio_stats(&self) -> PortfolioStats {
-        self.engine.sink.portfolio_stats()
+    /// Access to the underlying solver, for statistics.
+    pub fn solver(&self) -> &Solver {
+        &self.engine.sink
     }
 
     /// The SAT literals representing `v`'s bits, allocating on first use.
@@ -447,14 +409,11 @@ impl BlastContext {
             SolveResult::Unsat => None,
             SolveResult::Sat => {
                 let mut m = Model::new();
-                // Read the model through the canonical lane directly: one
-                // catch-up join up front instead of a lock per literal.
-                let Engine { sink, var_bits, .. } = &mut self.engine;
-                let canon = sink.canonical();
+                let Engine { sink, var_bits, .. } = &self.engine;
                 for (&v, bits) in var_bits.iter() {
                     let mut bv = BitVec::zeros(bits.len());
                     for (i, &l) in bits.iter().enumerate() {
-                        if canon.lit_value(l) == Some(true) {
+                        if sink.lit_value(l) == Some(true) {
                             bv.set(i, true);
                         }
                     }
@@ -643,16 +602,14 @@ struct CacheInner {
 }
 
 impl SharedBlastCache {
-    /// Creates an empty cache, honouring `LEAPFROG_NO_BLAST_CACHE` (read
-    /// once, here).
+    /// Creates an empty, enabled cache.
     pub fn new() -> Self {
-        Self::with_enabled(std::env::var("LEAPFROG_NO_BLAST_CACHE").as_deref() != Ok("1"))
+        Self::with_enabled(true)
     }
 
-    /// Creates an empty cache with caching explicitly on or off,
-    /// independent of the environment — the typed configuration path
-    /// (`EngineConfig::blast_cache`) uses this; [`SharedBlastCache::new`]
-    /// remains the env-compat constructor.
+    /// Creates an empty cache with caching explicitly on or off — the
+    /// engine passes `EngineConfig::blast_cache` here (off is an ablation
+    /// knob; results are identical either way).
     pub fn with_enabled(enabled: bool) -> Self {
         SharedBlastCache {
             inner: Arc::default(),
@@ -803,27 +760,25 @@ impl SharedBlastCache {
 
 /// Convenience: checks satisfiability of a single quantifier-free formula.
 pub fn sat_qf(decls: &Declarations, f: &Formula) -> Option<Model> {
-    sat_qf_counting(decls, &PortfolioConfig::from_env(), f).0
+    sat_qf_counting(decls, SolverConfig::default(), f).0
 }
 
-/// [`sat_qf`] with an explicit solver portfolio and the short-lived
+/// [`sat_qf`] with an explicit solver configuration and the short-lived
 /// context's CDCL counters handed back, so callers (the CEGAR validation
 /// path) can fold the work into their query statistics instead of losing
-/// it with the context. These validation contexts are typically far below
-/// the portfolio's racing floor, so in practice they solve on the
-/// canonical lane alone.
+/// it with the context.
 pub fn sat_qf_counting(
     decls: &Declarations,
-    cfg: &PortfolioConfig,
+    cfg: SolverConfig,
     f: &Formula,
-) -> (Option<Model>, SolverStats, PortfolioStats) {
+) -> (Option<Model>, SolverStats) {
     debug_assert!(f.is_quantifier_free());
-    let mut ctx = BlastContext::with_portfolio(cfg.clone());
+    let mut ctx = BlastContext::with_config(cfg);
     if !ctx.assert_formula(decls, f) {
-        return (None, ctx.solver().stats(), ctx.portfolio_stats());
+        return (None, ctx.solver().stats());
     }
     let m = ctx.solve(decls);
-    (m, ctx.solver().stats(), ctx.portfolio_stats())
+    (m, ctx.solver().stats())
 }
 
 #[allow(unused)]

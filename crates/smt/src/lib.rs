@@ -20,8 +20,7 @@
 //!   expansion), mirroring what Z3's model-based quantifier instantiation
 //!   does on these queries.
 //! * [`smtlib`] pretty-prints any query in SMT-LIB 2 syntax, mirroring the
-//!   paper's trusted plugin; set `LEAPFROG_DUMP_SMT=dir` to dump every
-//!   query issued through [`SmtSolver`].
+//!   paper's trusted plugin.
 //!
 //! # Examples
 //!
@@ -45,10 +44,7 @@ pub mod solve;
 pub mod term;
 
 pub use blast::{BBit, BlastContext, CacheStats, SharedBlastCache};
-pub use leapfrog_sat::{
-    Lit, PortfolioConfig, PortfolioStats, SolverConfig, SolverStats,
-    DEFAULT_PORTFOLIO_MIN_CLAUSES, LBD_BUCKETS, MAX_PORTFOLIO_LANES,
-};
+pub use leapfrog_sat::{Lit, SolverConfig, SolverStats, LBD_BUCKETS};
 pub use solve::{
     check_sat, check_valid, instantiate_forall, violates_forall, CheckResult, InstLedger,
     OracleRound, QueryStats, RefinementOracle, SatOutcome, SmtSolver,

@@ -3,9 +3,9 @@
 //! The paper's implementation serializes its low-level verification
 //! conditions to SMT-LIB via a trusted Coq plugin and ships them to Z3,
 //! CVC4 or Boolector (§6.3). This reproduction solves queries in-process,
-//! but retains the printer for fidelity and debuggability: setting
-//! `LEAPFROG_DUMP_SMT=<dir>` makes [`crate::SmtSolver`] write every query it
-//! answers as a `.smt2` file that an external solver can replay.
+//! but retains the printer for fidelity and debuggability:
+//! [`validity_query`] renders any query as SMT-LIB text that an external
+//! solver can replay.
 //!
 //! Index translation: this crate numbers bits MSB-first (bit 0 leftmost),
 //! SMT-LIB numbers them LSB-first (bit 0 rightmost), so a slice of `len`

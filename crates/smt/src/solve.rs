@@ -19,9 +19,8 @@ use leapfrog_bitvec::BitVec;
 use std::collections::HashMap;
 
 use crate::blast::{canonical_key, sat_qf_counting, BlastContext, SharedBlastCache};
-use crate::smtlib;
 use crate::term::{BvVar, Declarations, Formula, Model, Term};
-use leapfrog_sat::{PortfolioConfig, PortfolioStats, SolverConfig, SolverStats};
+use leapfrog_sat::{SolverConfig, SolverStats};
 
 /// Global metric handles for the solving core. Counters mirror the
 /// per-query [`QueryStats`] fields but accumulate process-wide, so the
@@ -90,11 +89,6 @@ pub struct QueryStats {
     /// contexts (across GC rebuilds), one-shot contexts and the
     /// quantifier-free validation solves of the CEGAR oracle.
     pub sat: SolverStats,
-    /// SAT portfolio racing counters (race/solo counts, per-lane wins and
-    /// per-lane solver work) summed over the same contexts. All zero when
-    /// no portfolio is configured; `sat` above always reports only the
-    /// canonical lane, so it stays comparable across lane counts.
-    pub portfolio: PortfolioStats,
     /// Wall-clock time per query, in the order issued.
     pub durations: Vec<Duration>,
 }
@@ -129,7 +123,6 @@ impl QueryStats {
         self.blast_cache_misses += other.blast_cache_misses;
         self.inst_ledger_hits += other.inst_ledger_hits;
         self.sat.absorb(&other.sat);
-        self.portfolio.absorb(&other.portfolio);
         self.durations.extend(other.durations.iter().copied());
     }
 
@@ -150,7 +143,6 @@ impl QueryStats {
             blast_cache_misses: self.blast_cache_misses - base.blast_cache_misses,
             inst_ledger_hits: self.inst_ledger_hits - base.inst_ledger_hits,
             sat: self.sat.delta_since(&base.sat),
-            portfolio: self.portfolio.delta_since(&base.portfolio),
             durations: self.durations[base.durations.len().min(self.durations.len())..].to_vec(),
         }
     }
@@ -171,33 +163,30 @@ impl QueryStats {
     }
 }
 
-/// A stateful SMT front-end: runs queries, keeps statistics, shares a
-/// cross-query [`SharedBlastCache`], and optionally dumps each query in
-/// SMT-LIB 2 format (mirroring the paper's plugin) when the
-/// `LEAPFROG_DUMP_SMT` environment variable names a directory.
+/// A stateful SMT front-end: runs queries, keeps statistics and shares a
+/// cross-query [`SharedBlastCache`].
 #[derive(Debug, Default)]
 pub struct SmtSolver {
     stats: QueryStats,
-    dump_dir: Option<std::path::PathBuf>,
     cache: SharedBlastCache,
+    sat: SolverConfig,
 }
 
 impl SmtSolver {
-    /// Creates a solver, honouring `LEAPFROG_DUMP_SMT`, with a fresh blast
-    /// cache.
+    /// Creates a default-configured solver with a fresh blast cache.
     pub fn new() -> Self {
-        Self::with_shared_cache(SharedBlastCache::new())
+        Self::default()
     }
 
-    /// Creates a solver that shares an existing blast cache — worker
-    /// threads each build one of these around the main solver's cache, so
-    /// premise CNF blasted by any worker is reused by all.
-    pub fn with_shared_cache(cache: SharedBlastCache) -> Self {
-        let dump_dir = std::env::var_os("LEAPFROG_DUMP_SMT").map(std::path::PathBuf::from);
+    /// Creates a solver that shares an existing blast cache and solves
+    /// under `sat` — worker threads each build one of these around the
+    /// main solver's cache, so premise CNF blasted by any worker is reused
+    /// by all.
+    pub fn with_shared_cache(cache: SharedBlastCache, sat: SolverConfig) -> Self {
         SmtSolver {
             stats: QueryStats::default(),
-            dump_dir,
             cache,
+            sat,
         }
     }
 
@@ -217,17 +206,9 @@ impl SmtSolver {
     }
 
     /// Checks validity of `f` (all free variables universally quantified).
-    /// `LEAPFROG_NO_BLAST_CACHE=1` (read once, when the solver's shared
-    /// cache is constructed) bypasses the cross-query blast cache — an
-    /// ablation knob; results are identical either way.
     pub fn check_valid(&mut self, decls: &Declarations, f: &Formula) -> CheckResult {
         let start = Instant::now();
-        if let Some(dir) = self.dump_dir.clone() {
-            let _ = std::fs::create_dir_all(&dir);
-            let path = dir.join(format!("query_{:05}.smt2", self.stats.queries));
-            let _ = std::fs::write(path, smtlib::validity_query(decls, f));
-        }
-        let (result, meters) = check_valid_counting(decls, f, Some(&self.cache));
+        let (result, meters) = check_valid_counting(decls, f, Some(&self.cache), self.sat);
         self.stats.queries += 1;
         meters.fold_into(&mut self.stats);
         let elapsed = start.elapsed();
@@ -247,7 +228,6 @@ struct SolveMeters {
     cache_hits: u64,
     cache_misses: u64,
     sat: SolverStats,
-    portfolio: PortfolioStats,
 }
 
 impl SolveMeters {
@@ -258,7 +238,6 @@ impl SolveMeters {
         stats.blast_cache_hits += self.cache_hits;
         stats.blast_cache_misses += self.cache_misses;
         stats.sat.absorb(&self.sat);
-        stats.portfolio.absorb(&self.portfolio);
     }
 }
 
@@ -266,15 +245,16 @@ impl SolveMeters {
 /// quantified. Stateless convenience wrapper around [`SmtSolver`] logic
 /// (no cross-query cache).
 pub fn check_valid(decls: &Declarations, f: &Formula) -> CheckResult {
-    check_valid_counting(decls, f, None).0
+    check_valid_counting(decls, f, None, SolverConfig::default()).0
 }
 
 fn check_valid_counting(
     decls: &Declarations,
     f: &Formula,
     cache: Option<&SharedBlastCache>,
+    sat: SolverConfig,
 ) -> (CheckResult, SolveMeters) {
-    let (outcome, meters) = check_sat_counting(decls, &Formula::not(f.clone()), cache);
+    let (outcome, meters) = check_sat_counting(decls, &Formula::not(f.clone()), cache, sat);
     let result = match outcome {
         SatOutcome::Unsat => CheckResult::Valid,
         SatOutcome::Sat(m) => CheckResult::Invalid(m),
@@ -286,13 +266,14 @@ fn check_valid_counting(
 /// `∃∀` fragment: after negation-normalization, `Forall` blocks must have
 /// quantifier-free bodies.
 pub fn check_sat(decls: &Declarations, f: &Formula) -> SatOutcome {
-    check_sat_counting(decls, f, None).0
+    check_sat_counting(decls, f, None, SolverConfig::default()).0
 }
 
 fn check_sat_counting(
     decls: &Declarations,
     f: &Formula,
     cache: Option<&SharedBlastCache>,
+    sat: SolverConfig,
 ) -> (SatOutcome, SolveMeters) {
     let mut decls = decls.clone();
     let nf = nnf(&mut decls, f, true);
@@ -303,7 +284,7 @@ fn check_sat_counting(
     let mut foralls: Vec<(Vec<BvVar>, Formula)> = Vec::new();
     split_conjuncts(&nf, &mut qf, &mut foralls);
 
-    let mut ctx = BlastContext::new();
+    let mut ctx = BlastContext::with_config(sat);
     let mut meters = SolveMeters::default();
     let assert =
         |ctx: &mut BlastContext, decls: &Declarations, f: &Formula, m: &mut SolveMeters| -> bool {
@@ -328,7 +309,7 @@ fn check_sat_counting(
     }
     // Seed each forall with the all-zeros instantiation and hand the block
     // to the refinement oracle.
-    let mut oracle = RefinementOracle::new();
+    let mut oracle = RefinementOracle::with_solver_config(sat);
     for (xs, body) in foralls {
         let seed: Vec<BitVec> = xs.iter().map(|x| BitVec::zeros(decls.width(*x))).collect();
         ok &= assert(
@@ -341,7 +322,6 @@ fn check_sat_counting(
     }
     if !ok {
         meters.sat.absorb(&ctx.solver().stats());
-        meters.portfolio.absorb(&ctx.portfolio_stats());
         return (SatOutcome::Unsat, meters);
     }
 
@@ -350,7 +330,6 @@ fn check_sat_counting(
         match ctx.solve(&decls) {
             None => {
                 meters.sat.absorb(&ctx.solver().stats());
-                meters.portfolio.absorb(&ctx.portfolio_stats());
                 return (SatOutcome::Unsat, meters);
             }
             Some(model) => {
@@ -360,17 +339,14 @@ fn check_sat_counting(
                 let round = oracle.validate(&decls, &model);
                 meters.blocks_validated += round.validated;
                 meters.sat.absorb(&round.sat);
-                meters.portfolio.absorb(&round.portfolio);
                 match round.refinement {
                     None => {
                         meters.sat.absorb(&ctx.solver().stats());
-                        meters.portfolio.absorb(&ctx.portfolio_stats());
                         return (SatOutcome::Sat(model), meters);
                     }
                     Some(batch) => {
                         if !assert(&mut ctx, &decls, &batch, &mut meters) {
                             meters.sat.absorb(&ctx.solver().stats());
-                            meters.portfolio.absorb(&ctx.portfolio_stats());
                             return (SatOutcome::Unsat, meters);
                         }
                     }
@@ -662,10 +638,6 @@ pub struct OracleRound {
     /// CDCL counters of the quantifier-free validation solves this round
     /// (each validation runs in its own short-lived solver context).
     pub sat: SolverStats,
-    /// Portfolio racing counters of the same validation solves — in
-    /// practice all-solo, since validation contexts sit far below the
-    /// racing floor.
-    pub portfolio: PortfolioStats,
 }
 
 /// The variable-indexed CEGAR model validator.
@@ -690,7 +662,7 @@ pub struct OracleRound {
 pub struct RefinementOracle {
     blocks: Vec<OracleBlock>,
     /// Construction knobs for the short-lived validation solvers.
-    sat_cfg: PortfolioConfig,
+    sat_cfg: SolverConfig,
 }
 
 impl Default for RefinementOracle {
@@ -700,21 +672,14 @@ impl Default for RefinementOracle {
 }
 
 impl RefinementOracle {
-    /// An oracle with no blocks; validation solvers configured from the
-    /// `LEAPFROG_SAT_*` environment.
+    /// An oracle with no blocks; validation solvers default-configured.
     pub fn new() -> RefinementOracle {
-        RefinementOracle::with_portfolio(PortfolioConfig::from_env())
+        RefinementOracle::with_solver_config(SolverConfig::default())
     }
 
     /// An oracle with no blocks whose validation solves run under an
-    /// explicit single-lane solver configuration.
+    /// explicit solver configuration.
     pub fn with_solver_config(sat_cfg: SolverConfig) -> RefinementOracle {
-        RefinementOracle::with_portfolio(PortfolioConfig::single(sat_cfg))
-    }
-
-    /// An oracle with no blocks whose validation solves run under an
-    /// explicit solver portfolio (the typed path guard sessions use).
-    pub fn with_portfolio(sat_cfg: PortfolioConfig) -> RefinementOracle {
         RefinementOracle {
             blocks: Vec::new(),
             sat_cfg,
@@ -835,12 +800,11 @@ impl RefinementOracle {
                 .collect();
             match refute_closed(
                 decls,
-                &self.sat_cfg,
+                self.sat_cfg,
                 &block.xs,
                 &block.body,
                 &map,
                 &mut round.sat,
-                &mut round.portfolio,
             ) {
                 Some(witness) => {
                     if let (Some(ledger), Some(lkey)) = (ledger, lkey) {
@@ -898,32 +862,28 @@ pub fn violates_forall(
     }
     refute_closed(
         decls,
-        &PortfolioConfig::from_env(),
+        SolverConfig::default(),
         xs,
         body,
         &map,
         &mut SolverStats::default(),
-        &mut PortfolioStats::default(),
     )
 }
 
 /// Closes `body`'s support variables with `map` and searches for values
 /// of `xs` falsifying the closed body — the shared core of
 /// [`violates_forall`] and [`RefinementOracle::validate`].
-#[allow(clippy::too_many_arguments)]
 fn refute_closed(
     decls: &Declarations,
-    sat_cfg: &PortfolioConfig,
+    sat_cfg: SolverConfig,
     xs: &[BvVar],
     body: &Formula,
     map: &HashMap<BvVar, Term>,
     sat: &mut SolverStats,
-    portfolio: &mut PortfolioStats,
 ) -> Option<Vec<BitVec>> {
     let closed = Formula::not(body.subst(map));
-    let (m, solve_stats, portfolio_stats) = sat_qf_counting(decls, sat_cfg, &closed);
+    let (m, solve_stats) = sat_qf_counting(decls, sat_cfg, &closed);
     sat.absorb(&solve_stats);
-    portfolio.absorb(&portfolio_stats);
     let m = m?;
     Some(
         xs.iter()
@@ -1439,11 +1399,7 @@ mod tests {
     fn solver_stats_accumulate() {
         let mut d = Declarations::new();
         let x = d.declare("x", 4);
-        let mut s = SmtSolver {
-            stats: QueryStats::default(),
-            dump_dir: None,
-            cache: SharedBlastCache::new(),
-        };
+        let mut s = SmtSolver::new();
         s.check_valid(&d, &Formula::Eq(Term::var(x), Term::var(x)));
         s.check_valid(&d, &Formula::Eq(Term::var(x), Term::lit(bv("0000"))));
         assert_eq!(s.stats().queries, 2);
@@ -1488,7 +1444,7 @@ mod tests {
         let f = Formula::Eq(Term::var(x), Term::lit(bv("1010")));
         let mut s1 = SmtSolver::new();
         assert!(matches!(s1.check_valid(&d, &f), CheckResult::Invalid(_)));
-        let mut s2 = SmtSolver::with_shared_cache(s1.shared_cache());
+        let mut s2 = SmtSolver::with_shared_cache(s1.shared_cache(), SolverConfig::default());
         assert!(matches!(s2.check_valid(&d, &f), CheckResult::Invalid(_)));
         if s2.shared_cache().is_disabled() {
             return; // LEAPFROG_NO_BLAST_CACHE=1 ablation run: no hits.

@@ -336,7 +336,7 @@ impl leapfrog::WitnessSink for WitnessCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leapfrog::{Checker, Options};
+    use leapfrog::{Checker, EngineConfig};
     use leapfrog_p4a::surface::parse;
 
     fn inequivalent_pair() -> (Automaton, StateId, Automaton, StateId) {
@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn record_roundtrip_and_exercise() {
         let (a, sa, b, sb) = inequivalent_pair();
-        let mut checker = Checker::new(&a, sa, &b, sb, Options::default());
+        let mut checker = Checker::new(&a, sa, &b, sb, EngineConfig::from_env().unwrap());
         let outcome = checker.run();
         let w = outcome.witness().expect("confirmed witness");
 
@@ -397,7 +397,7 @@ mod tests {
         )
         .unwrap();
         let sa = a.state_by_name("s").unwrap();
-        let mut checker = Checker::new(&a, sa, &a, sa, Options::default());
+        let mut checker = Checker::new(&a, sa, &a, sa, EngineConfig::from_env().unwrap());
         let outcome = checker.run();
         let w = outcome.witness().expect("store-dependence witness");
         let mut corpus = WitnessCorpus::new();
@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn absorb_unions_and_dedupes() {
         let (a, sa, b, sb) = inequivalent_pair();
-        let mut checker = Checker::new(&a, sa, &b, sb, Options::default());
+        let mut checker = Checker::new(&a, sa, &b, sb, EngineConfig::from_env().unwrap());
         let w_binding = checker.run();
         let w = w_binding.witness().expect("confirmed witness");
         let mut left = WitnessCorpus::new();

@@ -12,7 +12,7 @@
 //! concrete disagreement, and [`check_and_cross_validate`] wraps a full
 //! checker run with the matching validation for either verdict.
 
-use leapfrog::{Engine, EngineConfig, Options, Outcome};
+use leapfrog::{Engine, EngineConfig, Outcome};
 use leapfrog_bitvec::BitVec;
 use leapfrog_cex::{Disagreement, Refutation, Witness};
 use leapfrog_p4a::ast::{Automaton, StateId};
@@ -135,9 +135,9 @@ pub fn check_and_cross_validate(
     ql: StateId,
     right: &Automaton,
     qr: StateId,
-    options: Options,
+    config: EngineConfig,
 ) -> Result<Outcome, String> {
-    let mut engine = Engine::new(EngineConfig::from_options(&options));
+    let mut engine = Engine::new(config);
     check_and_cross_validate_in(&mut engine, left, ql, right, qr)
 }
 
@@ -178,11 +178,11 @@ pub fn check_cross_validate_and_record(
     ql: StateId,
     right: &Automaton,
     qr: StateId,
-    options: Options,
+    config: EngineConfig,
     name: &str,
     corpus: &mut crate::corpus::WitnessCorpus,
 ) -> Result<Outcome, String> {
-    let mut engine = Engine::new(EngineConfig::from_options(&options));
+    let mut engine = Engine::new(config);
     check_cross_validate_and_record_in(&mut engine, left, ql, right, qr, name, corpus)
 }
 

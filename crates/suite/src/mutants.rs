@@ -131,7 +131,7 @@ mod tests {
     use super::*;
     use crate::corpus::WitnessCorpus;
     use crate::differential::check_cross_validate_and_record;
-    use leapfrog::{Options, Outcome};
+    use leapfrog::{EngineConfig, Outcome};
 
     #[test]
     fn every_mutant_is_refuted_recorded_and_replayed() {
@@ -145,7 +145,7 @@ mod tests {
                 m.left_start,
                 &m.right,
                 m.right_start,
-                Options::default(),
+                EngineConfig::from_env().unwrap(),
                 m.name,
                 &mut corpus,
             )
@@ -186,7 +186,7 @@ mod tests {
                 m.left_start,
                 &m.right,
                 m.right_start,
-                Options::default(),
+                EngineConfig::from_env().unwrap(),
             );
             let outcome = checker.run();
             let w = outcome

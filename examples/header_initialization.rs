@@ -8,12 +8,12 @@
 //! cargo run --release --example header_initialization
 //! ```
 
-use leapfrog::{Checker, Options, Outcome};
+use leapfrog::{Checker, EngineConfig, Outcome};
 use leapfrog_suite::utility::vlan_init;
 
 fn self_check(name: &str, aut: &leapfrog_p4a::Automaton) {
     let q = aut.state_by_name("parse_eth").unwrap();
-    let mut checker = Checker::new(aut, q, aut, q, Options::default());
+    let mut checker = Checker::new(aut, q, aut, q, EngineConfig::from_env().unwrap());
     match checker.run() {
         Outcome::Equivalent(_) => {
             println!("✔ {name}: acceptance is independent of the initial store");

@@ -7,7 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use leapfrog::{certificate, Checker, Options, Outcome};
+use leapfrog::{certificate, Checker, EngineConfig, Outcome};
 use leapfrog_suite::utility::mpls;
 
 fn main() {
@@ -24,7 +24,13 @@ fn main() {
 
     let q1 = reference.state_by_name("q1").unwrap();
     let q3 = vectorized.state_by_name("q3").unwrap();
-    let mut checker = Checker::new(&reference, q1, &vectorized, q3, Options::default());
+    let mut checker = Checker::new(
+        &reference,
+        q1,
+        &vectorized,
+        q3,
+        EngineConfig::from_env().unwrap(),
+    );
 
     println!("Checking language equivalence (this computes a symbolic bisimulation with leaps)…");
     match checker.run() {

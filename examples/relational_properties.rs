@@ -14,7 +14,7 @@
 //! cargo run --release --example relational_properties
 //! ```
 
-use leapfrog::{Checker, Options, Outcome};
+use leapfrog::{Checker, EngineConfig, Outcome};
 use leapfrog_logic::reach::reachable_pairs;
 use leapfrog_suite::utility::sloppy_strict;
 
@@ -25,7 +25,7 @@ fn main() {
 
     // First: show they are NOT plainly equivalent.
     println!("1. Plain language equivalence (expected to fail):");
-    let mut plain = Checker::new(&sloppy, ql, &strict, qr, Options::default());
+    let mut plain = Checker::new(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap());
     match plain.run() {
         Outcome::NotEquivalent(_) => {
             println!("   ✘ not equivalent, as expected — the lenient parser accepts more")
@@ -35,7 +35,7 @@ fn main() {
 
     // Second: equivalence modulo the external filter.
     println!("2. Equivalence modulo an EtherType filter:");
-    let mut filtered = Checker::new(&sloppy, ql, &strict, qr, Options::default());
+    let mut filtered = Checker::new(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap());
     let reach = reachable_pairs(filtered.sum_automaton(), &[filtered.root()], true);
     let init = sloppy_strict::external_filter_init(filtered.sum_info(), &reach);
     filtered.replace_init(init);
@@ -53,7 +53,7 @@ fn main() {
 
     // Third: store correspondence when both accept.
     println!("3. Store correspondence at acceptance:");
-    let mut relational = Checker::new(&sloppy, ql, &strict, qr, Options::default());
+    let mut relational = Checker::new(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap());
     let init = sloppy_strict::store_correspondence_init(relational.sum_info());
     relational.replace_init(init);
     match relational.run() {

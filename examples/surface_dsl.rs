@@ -5,7 +5,7 @@
 //! cargo run --release --example surface_dsl
 //! ```
 
-use leapfrog::{Checker, Options, Outcome};
+use leapfrog::{Checker, EngineConfig, Outcome};
 use leapfrog_bitvec::BitVec;
 use leapfrog_p4a::semantics::Config;
 use leapfrog_p4a::surface::parse_named;
@@ -62,7 +62,13 @@ fn main() {
     );
 
     // Prove they agree on *all* packets.
-    let mut checker = Checker::new(&reference, q_ref, &combined, q_comb, Options::default());
+    let mut checker = Checker::new(
+        &reference,
+        q_ref,
+        &combined,
+        q_comb,
+        EngineConfig::from_env().unwrap(),
+    );
     match checker.run() {
         Outcome::Equivalent(_) => {
             println!(

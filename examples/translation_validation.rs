@@ -7,7 +7,7 @@
 //! cargo run --release --example translation_validation
 //! ```
 
-use leapfrog::{Checker, Options, Outcome};
+use leapfrog::{Checker, EngineConfig, Outcome};
 use leapfrog_hwgen::{back_translate, compile, HwBudget};
 use leapfrog_suite::applicability::edge;
 use leapfrog_suite::Scale;
@@ -45,7 +45,13 @@ fn main() {
     );
 
     println!("Validating the round trip with Leapfrog…");
-    let mut checker = Checker::new(&parser, start, &back, back_q, Options::default());
+    let mut checker = Checker::new(
+        &parser,
+        start,
+        &back,
+        back_q,
+        EngineConfig::from_env().unwrap(),
+    );
     match checker.run() {
         Outcome::Equivalent(cert) => {
             println!("✔ the compiler preserved the parser's language");

@@ -22,7 +22,8 @@
 //!
 //! The primary entry point is [`prelude::Engine`]: built once from a
 //! typed [`prelude::EngineConfig`] (builder pattern;
-//! `EngineConfig::from_env()` subsumes every `LEAPFROG_*` variable), it
+//! `EngineConfig::from_env()` is the one place engine knobs are read
+//! from the environment), it
 //! owns the long-lived state — the shared CNF blast cache, warm per-guard
 //! solver sessions, memoized sums and reachability sets, the
 //! cross-session instantiation ledger, and an optional attached witness
@@ -58,15 +59,16 @@
 //! | `LEAPFROG_SESSION_GC_FLOOR` | `session_gc_floor(n)` |
 //! | `LEAPFROG_STRICT_WITNESS` | `strict_witness(true)` |
 //! | `LEAPFROG_NO_BLAST_CACHE` | `blast_cache(false)` |
-//! | `LEAPFROG_SAT_LBD` | `sat_lbd(false)` when `0` |
-//! | `LEAPFROG_SAT_PORTFOLIO` | `sat_portfolio(lanes)` (`0`/`1` = single solver) |
+//! | `LEAPFROG_SAT_LBD` | `sat_lbd(false)` when false |
 //! | `LEAPFROG_WARM_CAP` | `warm_capacity(n)` (`0` = unbounded) |
 //!
-//! `LEAPFROG_SCALE`, `LEAPFROG_WITNESS_CORPUS` and
+//! Flags take `1`/`0`, `true`/`false`, `on`/`off` or `yes`/`no`; counts
+//! take a non-negative integer. A malformed value makes `from_env` return
+//! a `ConfigError` naming the variable instead of silently using the
+//! default. `LEAPFROG_SCALE`, `LEAPFROG_WITNESS_CORPUS` and
 //! `LEAPFROG_SKIP_BASELINE` configure the evaluation *harness* (suite /
-//! bench), not the engine; `LEAPFROG_DUMP_SMT` remains an smt-layer
-//! debugging knob. The authoritative knob-by-knob table (defaults,
-//! layer, config field) is in `docs/ARCHITECTURE.md`.
+//! bench), not the engine. The authoritative knob-by-knob table
+//! (defaults, layer, config field) is in `docs/ARCHITECTURE.md`.
 //!
 //! # Verdict API
 //!
@@ -117,7 +119,7 @@ pub use leapfrog_suite as suite;
 pub mod prelude {
     pub use leapfrog::checker::check_language_equivalence;
     pub use leapfrog::{
-        certificate, Certificate, Checker, Engine, EngineConfig, EngineStats, Options, Outcome,
+        certificate, Certificate, Checker, Engine, EngineConfig, EngineStats, Outcome,
         QueryRequest, QuerySpec, WitnessSink,
     };
     pub use leapfrog_bitvec::BitVec;

@@ -10,7 +10,7 @@
 //! the query to a different guard, and corrupting the leap flag. Both
 //! checkers must reject each mutant with the same error class.
 
-use leapfrog::{certificate, Certificate, CertificateError, Checker, Options, Outcome};
+use leapfrog::{certificate, Certificate, CertificateError, Checker, EngineConfig, Outcome};
 use leapfrog_bench::rows::standard_benchmarks;
 use leapfrog_logic::confrel::Pure;
 use leapfrog_p4a::Automaton;
@@ -24,7 +24,7 @@ fn certify(bench: &Benchmark) -> (Automaton, Certificate) {
         bench.left_start,
         &bench.right,
         bench.right_start,
-        Options::default(),
+        EngineConfig::from_env().unwrap(),
     );
     match checker.run() {
         Outcome::Equivalent(cert) => (checker.sum_automaton().clone(), cert),
@@ -174,7 +174,7 @@ fn certcheck_accepts_the_relational_verification_certificate() {
     let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
     let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
     let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut checker = Checker::new(&sloppy, ql, &strict, qr, Options::default());
+    let mut checker = Checker::new(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap());
     let init = sloppy_strict::store_correspondence_init(checker.sum_info());
     checker.replace_init(init);
     let cert = match checker.run() {
@@ -217,7 +217,7 @@ fn checkers_agree_on_nonstandard_init_certificates() {
     let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
     let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
     let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut checker = Checker::new(&sloppy, ql, &strict, qr, Options::default());
+    let mut checker = Checker::new(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap());
     let reach = reachable_pairs(checker.sum_automaton(), &[checker.root()], true);
     let init = sloppy_strict::external_filter_init(checker.sum_info(), &reach);
     checker.replace_init(init);

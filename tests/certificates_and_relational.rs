@@ -1,7 +1,7 @@
 //! Integration tests for certificates (serialization, tamper detection)
 //! and the relational case studies (§7.1).
 
-use leapfrog::{certificate, Certificate, Checker, Options, Outcome};
+use leapfrog::{certificate, Certificate, Checker, EngineConfig, Outcome};
 use leapfrog_logic::reach::reachable_pairs;
 use leapfrog_suite::utility::{mpls, sloppy_strict};
 
@@ -13,7 +13,7 @@ fn mpls_certificate() -> (leapfrog_p4a::Automaton, Certificate) {
         r.state_by_name("q1").unwrap(),
         &v,
         v.state_by_name("q3").unwrap(),
-        Options::default(),
+        EngineConfig::from_env().unwrap(),
     );
     match checker.run() {
         Outcome::Equivalent(cert) => (checker.sum_automaton().clone(), cert),
@@ -52,7 +52,7 @@ fn external_filtering_verifies_and_is_marked_nonstandard() {
     let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
     let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
     let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut checker = Checker::new(&sloppy, ql, &strict, qr, Options::default());
+    let mut checker = Checker::new(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap());
     let reach = reachable_pairs(checker.sum_automaton(), &[checker.root()], true);
     let init = sloppy_strict::external_filter_init(checker.sum_info(), &reach);
     checker.replace_init(init);
@@ -71,7 +71,7 @@ fn store_correspondence_verifies() {
     let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
     let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
     let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut checker = Checker::new(&sloppy, ql, &strict, qr, Options::default());
+    let mut checker = Checker::new(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap());
     let init = sloppy_strict::store_correspondence_init(checker.sum_info());
     checker.replace_init(init);
     assert!(checker.run().is_equivalent());
@@ -82,7 +82,7 @@ fn plain_equivalence_of_sloppy_strict_fails() {
     let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
     let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
     let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut checker = Checker::new(&sloppy, ql, &strict, qr, Options::default());
+    let mut checker = Checker::new(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap());
     let outcome = checker.run();
     assert!(matches!(outcome, Outcome::NotEquivalent(_)));
     // The refutation must carry a confirmed, replayable witness packet.

@@ -5,7 +5,7 @@
 //! ever reduce rebuild churn.
 
 use leapfrog::checker::check_language_equivalence;
-use leapfrog::{Engine, EngineConfig, Options, Outcome, QuerySpec};
+use leapfrog::{EngineConfig, Outcome, QuerySpec};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::surface::parse;
 use leapfrog_suite::utility::{sloppy_strict, state_rearrangement};
@@ -57,7 +57,7 @@ fn certificates_identical_one_shot_cold_warm_and_batch() {
     let (a, sa, b, sb) = chunking_pair();
     let one_shot = cert_json(&check_language_equivalence(&a, sa, &b, sb));
     for threads in [1usize, 4] {
-        let mut engine = EngineConfig::from_env().threads(threads).build();
+        let mut engine = EngineConfig::from_env().unwrap().threads(threads).build();
         let cold = cert_json(&engine.check(&a, sa, &b, sb));
         assert_eq!(
             one_shot, cold,
@@ -87,7 +87,7 @@ fn witnesses_identical_one_shot_cold_warm_and_batch() {
     let (l, ql, r, qr) = refuted_pair();
     let one_shot = witness_text(&check_language_equivalence(&l, ql, &r, qr));
     for threads in [1usize, 4] {
-        let mut engine = EngineConfig::from_env().threads(threads).build();
+        let mut engine = EngineConfig::from_env().unwrap().threads(threads).build();
         let cold = witness_text(&engine.check(&l, ql, &r, qr));
         assert_eq!(one_shot, cold, "cold witness differs at threads={threads}");
         let warm = witness_text(&engine.check(&l, ql, &r, qr));
@@ -103,52 +103,6 @@ fn witnesses_identical_one_shot_cold_warm_and_batch() {
                 witness_text(o),
                 "batch witness {i} differs at threads={threads}"
             );
-        }
-    }
-}
-
-#[test]
-fn portfolio_engines_agree_with_the_single_solver_byte_for_byte() {
-    // The persistent-engine side of the portfolio contract: cold, warm and
-    // batch runs through portfolio-racing engines (2 and 4 lanes) must
-    // reproduce the single-solver certificate and witness bytes exactly,
-    // at threads ∈ {1, 4}.
-    let (a, sa, b, sb) = chunking_pair();
-    let (l, ql, r, qr) = refuted_pair();
-    let base_cert = cert_json(&check_language_equivalence(&a, sa, &b, sb));
-    let base_witness = witness_text(&check_language_equivalence(&l, ql, &r, qr));
-    for lanes in [2usize, 4] {
-        for threads in [1usize, 4] {
-            // Zero racing floor: every entailment solve actually races,
-            // so the byte-identity claim is tested on real races (with
-            // the default floor, small fixtures mostly solve solo).
-            let mut engine = EngineConfig::new()
-                .sat_portfolio(lanes)
-                .sat_portfolio_min_clauses(0)
-                .threads(threads)
-                .build();
-            let cold = cert_json(&engine.check(&a, sa, &b, sb));
-            assert_eq!(
-                base_cert, cold,
-                "cold certificate differs at lanes={lanes} threads={threads}"
-            );
-            let warm = cert_json(&engine.check(&a, sa, &b, sb));
-            assert_eq!(
-                base_cert, warm,
-                "warm certificate differs at lanes={lanes} threads={threads}"
-            );
-            let cold_w = witness_text(&engine.check(&l, ql, &r, qr));
-            assert_eq!(
-                base_witness, cold_w,
-                "witness differs at lanes={lanes} threads={threads}"
-            );
-            let specs = vec![
-                QuerySpec::new("cert", &a, sa, &b, sb),
-                QuerySpec::new("sanity", &l, ql, &r, qr),
-            ];
-            let outcomes = engine.check_batch(&specs);
-            assert_eq!(base_cert, cert_json(&outcomes[0]));
-            assert_eq!(base_witness, witness_text(&outcomes[1]));
         }
     }
 }
@@ -211,17 +165,19 @@ fn engine_serves_different_pairs_without_cross_talk() {
     let (l, ql, r, qr) = refuted_pair();
     let fresh_cert = cert_json(
         &EngineConfig::from_env()
+            .unwrap()
             .threads(1)
             .build()
             .check(&a, sa, &b, sb),
     );
     let fresh_wit = witness_text(
         &EngineConfig::from_env()
+            .unwrap()
             .threads(1)
             .build()
             .check(&l, ql, &r, qr),
     );
-    let mut engine = EngineConfig::from_env().threads(1).build();
+    let mut engine = EngineConfig::from_env().unwrap().threads(1).build();
     for round in 0..3 {
         let c = cert_json(&engine.check(&a, sa, &b, sb));
         let w = witness_text(&engine.check(&l, ql, &r, qr));
@@ -238,11 +194,11 @@ fn gc_floor_reduces_rebuilds_on_small_rows_without_changing_results() {
     // than without it — and certificates must match exactly.
     let bench = state_rearrangement::state_rearrangement_benchmark();
     let run = |floor: u64| {
-        let opts = Options {
+        let opts = EngineConfig {
             threads: 1,
             session_gc_ratio: Some(4.0),
             session_gc_floor: floor,
-            ..Options::default()
+            ..EngineConfig::from_env().unwrap()
         };
         let mut checker = leapfrog::Checker::new(
             &bench.left,
@@ -267,33 +223,12 @@ fn gc_floor_reduces_rebuilds_on_small_rows_without_changing_results() {
 }
 
 #[test]
-fn config_from_options_round_trips() {
-    let opts = Options {
-        leaps: false,
-        reach_pruning: false,
-        early_stop: false,
-        max_iterations: Some(7),
-        threads: 3,
-        strict_witness: true,
-        session_gc_ratio: Some(2.5),
-        session_gc_floor: 64,
-        blast_cache: false,
-        sat_lbd: false,
-        sat_portfolio: 3,
-        sat_portfolio_min_clauses: 17,
-    };
-    let cfg = EngineConfig::from_options(&opts);
-    let back = cfg.options();
-    assert_eq!(format!("{opts:?}"), format!("{back:?}"));
-    // The engine honours the blast-cache setting from typed config alone.
-    let engine = Engine::new(cfg);
+fn engine_honours_the_typed_blast_cache_setting() {
+    // Typed config alone decides the cache, whatever the environment.
+    let engine = EngineConfig::new().blast_cache(false).build();
     assert!(engine.shared_cache().is_disabled());
     let engine = EngineConfig::new().build();
-    // With pure defaults the cache is enabled regardless of environment —
-    // unless the ablation env var is set for this whole test process.
-    if std::env::var("LEAPFROG_NO_BLAST_CACHE").as_deref() != Ok("1") {
-        assert!(!engine.shared_cache().is_disabled());
-    }
+    assert!(!engine.shared_cache().is_disabled());
 }
 
 #[test]

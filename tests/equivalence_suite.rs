@@ -2,7 +2,7 @@
 //! through the full pipeline — sum construction, reachability, worklist,
 //! SMT — and produces a certificate that the independent checker accepts.
 
-use leapfrog::{certificate, Checker, Options};
+use leapfrog::{certificate, Checker, EngineConfig};
 use leapfrog_bench::rows::standard_benchmarks;
 use leapfrog_suite::differential::agree_on_words;
 use leapfrog_suite::Scale;
@@ -15,7 +15,7 @@ fn all_standard_benchmarks_verify_and_certify() {
             bench.left_start,
             &bench.right,
             bench.right_start,
-            Options::default(),
+            EngineConfig::from_env().unwrap(),
         );
         let outcome = checker.run();
         let cert = match outcome {
@@ -65,7 +65,7 @@ fn cross_validation_harness_accepts_equivalent_benchmarks() {
             bench.left_start,
             &bench.right,
             bench.right_start,
-            Options::default(),
+            EngineConfig::from_env().unwrap(),
         )
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         assert!(outcome.is_equivalent(), "{}", bench.name);
@@ -77,10 +77,10 @@ fn ablation_settings_agree_on_a_small_benchmark() {
     // All four optimization settings must compute the same verdict.
     let bench = &standard_benchmarks(Scale::Small)[0]; // state rearrangement
     for (leaps, reach_pruning) in [(true, true), (false, true), (true, false)] {
-        let options = Options {
+        let options = EngineConfig {
             leaps,
             reach_pruning,
-            ..Options::default()
+            ..EngineConfig::from_env().unwrap()
         };
         let mut checker = Checker::new(
             &bench.left,

@@ -98,11 +98,11 @@ fn outcomes_byte_identical_in_process_wire_and_restart() {
         let server = Server::bind(
             "127.0.0.1:0",
             ServerOptions {
-                config: EngineConfig::from_env().threads(threads),
+                config: EngineConfig::from_env().unwrap().threads(threads),
                 state_dir: Some(state_dir.clone()),
                 scale: Scale::Small,
                 workers: 1,
-                ..ServerOptions::default()
+                ..ServerOptions::from_env().unwrap()
             },
         )
         .expect("bind loopback");
@@ -137,6 +137,7 @@ fn outcomes_byte_identical_in_process_wire_and_restart() {
         // 1-worker fleet persists under `shard-0/` in the state dir.
         let mut restarted = Engine::new(
             EngineConfig::from_env()
+                .unwrap()
                 .threads(threads)
                 .with_state_dir(state_dir.join("shard-0")),
         );
@@ -178,11 +179,14 @@ fn warm_cap_eviction_never_changes_wire_bytes() {
     let server = Server::bind(
         "127.0.0.1:0",
         ServerOptions {
-            config: EngineConfig::from_env().threads(1).warm_capacity(1),
+            config: EngineConfig::from_env()
+                .unwrap()
+                .threads(1)
+                .warm_capacity(1),
             state_dir: None,
             scale: Scale::Small,
             workers: 1,
-            ..ServerOptions::default()
+            ..ServerOptions::from_env().unwrap()
         },
     )
     .expect("bind loopback");
@@ -229,7 +233,7 @@ fn metrics_and_slow_log_answer_over_the_wire() {
     let prior_enabled = leapfrog_obs::trace::enabled();
     collector.set_slow_threshold_ms(Some(0));
 
-    let server = Server::bind("127.0.0.1:0", ServerOptions::default()).expect("bind");
+    let server = Server::bind("127.0.0.1:0", ServerOptions::from_env().unwrap()).expect("bind");
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
     let mut client = Client::connect(addr).expect("connect");
@@ -294,7 +298,7 @@ fn inline_wire_checks_match_local_parsing() {
     let (ql, qr) = (l.state_by_name("s").unwrap(), r.state_by_name("s").unwrap());
     let expected = outcome_to_value(&check_language_equivalence(&l, ql, &r, qr)).render();
 
-    let server = Server::bind("127.0.0.1:0", ServerOptions::default()).expect("bind");
+    let server = Server::bind("127.0.0.1:0", ServerOptions::from_env().unwrap()).expect("bind");
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
     let mut client = Client::connect(addr).expect("connect");

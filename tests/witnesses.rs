@@ -4,7 +4,7 @@
 //! minimized packet which, replayed through the explicit semantics from
 //! both initial configurations, reproduces a concrete disagreement.
 
-use leapfrog::{Checker, Options, Outcome};
+use leapfrog::{Checker, EngineConfig, Outcome};
 use leapfrog_cex::Disagreement;
 use leapfrog_logic::confrel::{BitExpr, ConfRel, Pure, Side};
 use leapfrog_logic::templates::{Template, TemplatePair};
@@ -41,8 +41,9 @@ fn sloppy_vs_strict_refutation_carries_confirmed_witness() {
     let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
     let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
     let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let outcome = check_and_cross_validate(&sloppy, ql, &strict, qr, Options::default())
-        .expect("cross-validation must succeed");
+    let outcome =
+        check_and_cross_validate(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap())
+            .expect("cross-validation must succeed");
     assert_confirmed_witness("sloppy vs strict", &outcome);
     let w = outcome.witness().unwrap();
     // The disagreement needs a full ether + ipv6 parse on the sloppy side:
@@ -69,7 +70,7 @@ fn uninitialized_vlan_bug_yields_store_witness() {
     // the parser wrongly reads.
     let buggy = vlan_init::vlan_parser_buggy();
     let q = buggy.state_by_name("parse_eth").unwrap();
-    let outcome = check_and_cross_validate(&buggy, q, &buggy, q, Options::default())
+    let outcome = check_and_cross_validate(&buggy, q, &buggy, q, EngineConfig::from_env().unwrap())
         .expect("cross-validation must succeed");
     assert_confirmed_witness("buggy vlan self-comparison", &outcome);
     let w = outcome.witness().unwrap();
@@ -101,8 +102,9 @@ fn every_cross_family_inequivalence_is_witnessed() {
         ),
     ];
     for (name, left, ql, right, qr) in pairs {
-        let outcome = check_and_cross_validate(left, ql, right, qr, Options::default())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let outcome =
+            check_and_cross_validate(left, ql, right, qr, EngineConfig::from_env().unwrap())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(!outcome.is_equivalent(), "{name}: expected a refutation");
         assert_confirmed_witness(name, &outcome);
     }
@@ -118,8 +120,14 @@ fn applicability_mutations_are_witnessed() {
         let mut mutated = original.clone();
         mutate_first_case_to_reject(&mut mutated);
         let ql = bench.left_start;
-        let outcome = check_and_cross_validate(&original, ql, &mutated, ql, Options::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+        let outcome = check_and_cross_validate(
+            &original,
+            ql,
+            &mutated,
+            ql,
+            EngineConfig::from_env().unwrap(),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         assert!(
             !outcome.is_equivalent(),
             "{}: mutant must be refuted",
@@ -157,7 +165,7 @@ fn relational_violation_yields_init_relation_witness() {
     )
     .unwrap();
     let q = a.state_by_name("s").unwrap();
-    let mut checker = Checker::new(&a, q, &a, q, Options::default());
+    let mut checker = Checker::new(&a, q, &a, q, EngineConfig::from_env().unwrap());
     let sum = checker.sum_info();
     let hl = sum.automaton.header_by_name("l.h").unwrap();
     let hr = sum.automaton.header_by_name("r.h").unwrap();
@@ -187,7 +195,7 @@ fn witness_stats_are_recorded() {
     let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
     let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
     let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut checker = Checker::new(&sloppy, ql, &strict, qr, Options::default());
+    let mut checker = Checker::new(&sloppy, ql, &strict, qr, EngineConfig::from_env().unwrap());
     let outcome = checker.run();
     assert!(!outcome.is_equivalent());
     let stats = checker.stats();
