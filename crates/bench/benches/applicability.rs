@@ -10,7 +10,7 @@ use leapfrog_suite::applicability::all_benchmarks;
 use leapfrog_suite::Scale;
 
 fn applicability(c: &mut Criterion) {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap();
     let mut g = c.benchmark_group("table2/applicability");
     g.sample_size(10);
     for bench in all_benchmarks(scale) {

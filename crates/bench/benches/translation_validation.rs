@@ -11,7 +11,7 @@ use leapfrog_suite::applicability::edge;
 use leapfrog_suite::Scale;
 
 fn translation_validation(c: &mut Criterion) {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap();
     let mut g = c.benchmark_group("table2/translation_validation");
     g.sample_size(10);
 

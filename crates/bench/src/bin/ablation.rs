@@ -16,7 +16,7 @@ use std::time::Instant;
 use leapfrog::EngineConfig;
 use leapfrog_bench::alloc_track::{human_bytes, PeakAlloc};
 use leapfrog_suite::utility::{mpls, state_rearrangement};
-use leapfrog_suite::{applicability, Benchmark, Scale};
+use leapfrog_suite::Benchmark;
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc::new();
@@ -55,39 +55,6 @@ fn run(config: &EngineConfig, bench: &Benchmark, leaps: bool, reach_pruning: boo
     );
 }
 
-/// The SAT-core ablation: re-runs the solver-heavy applicability rows with
-/// LBD-tiered learnt-clause management disabled (activity-only deletion,
-/// the pre-rewrite policy). Verdicts and witnesses are identical either
-/// way — only the learnt-clause retention policy changes — so the section
-/// hard-fails on any verdict or query-count divergence.
-fn run_lbd(config: &EngineConfig, bench: &Benchmark, lbd: bool) -> (leapfrog::Outcome, u64) {
-    let mut engine = config.clone().sat_lbd(lbd).build();
-    ALLOC.reset();
-    let start = Instant::now();
-    let outcome = engine.check(
-        &bench.left,
-        bench.left_start,
-        &bench.right,
-        bench.right_start,
-    );
-    let stats = engine.last_run_stats();
-    println!(
-        "{:<22} lbd={:<5} -> {:<10} {:>10} conflicts={:<8} learnt_deleted={:<8} mem={}",
-        bench.name,
-        lbd,
-        match outcome {
-            leapfrog::Outcome::Equivalent(_) => "verified",
-            leapfrog::Outcome::NotEquivalent(_) => "refuted",
-            leapfrog::Outcome::Aborted(_) => "aborted",
-        },
-        format!("{:.2?}", start.elapsed()),
-        stats.queries.sat.conflicts,
-        stats.queries.sat.deleted_clauses,
-        human_bytes(ALLOC.peak_bytes()),
-    );
-    (outcome, stats.queries.queries)
-}
-
 fn main() {
     let config = EngineConfig::from_env().unwrap_or_else(|e| {
         eprintln!("ablation: {e}");
@@ -103,22 +70,5 @@ fn main() {
             run(&config, &bench, leaps, pruning, budget);
         }
         println!();
-    }
-
-    println!("SAT-core ablation (LBD two-tier learnt management vs activity-only)");
-    for bench in applicability::all_benchmarks(Scale::from_env()) {
-        let (on, on_queries) = run_lbd(&config, &bench, true);
-        let (off, off_queries) = run_lbd(&config, &bench, false);
-        assert_eq!(
-            std::mem::discriminant(&on),
-            std::mem::discriminant(&off),
-            "{}: LBD toggle changed the verdict",
-            bench.name
-        );
-        assert_eq!(
-            on_queries, off_queries,
-            "{}: LBD toggle changed the query trajectory",
-            bench.name
-        );
     }
 }

@@ -55,9 +55,6 @@
 //!   (speedup reported as `null`); useful for very large scales.
 //! * `LEAPFROG_WITNESS_CORPUS=path` — where the witness regression corpus
 //!   lives (default `WITNESS_CORPUS.txt`).
-//! * `LEAPFROG_SESSION_GC=ratio|0`, `LEAPFROG_SESSION_GC_FLOOR=n` — the
-//!   guard sessions' clause-budget GC (results are identical, only
-//!   memory/time change).
 
 use leapfrog::json::{self, Value};
 use leapfrog::{Engine, EngineConfig, Outcome, QuerySpec};
@@ -162,7 +159,10 @@ fn main() {
     let scale = if smoke {
         Scale::Small
     } else {
-        Scale::from_env()
+        Scale::from_env().unwrap_or_else(|e| {
+            eprintln!("table2: {e}");
+            std::process::exit(2);
+        })
     };
     let baseline = std::env::var("LEAPFROG_SKIP_BASELINE").as_deref() != Ok("1");
     // Tracing is on by default for the table run — the per-phase

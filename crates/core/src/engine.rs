@@ -62,22 +62,12 @@ use leapfrog_logic::wp::wp;
 use leapfrog_obs::{trace, Phase};
 use leapfrog_p4a::ast::{Automaton, StateId, Target};
 use leapfrog_p4a::sum::{sum, Sum};
-use leapfrog_smt::{
-    CheckResult, InstLedger, QueryStats, SharedBlastCache, SmtSolver, SolverConfig, LBD_BUCKETS,
-};
+use leapfrog_smt::{CheckResult, InstLedger, QueryStats, SharedBlastCache, SmtSolver, LBD_BUCKETS};
 
 use crate::certificate::Certificate;
 use crate::checker::{strict_witness_violation, Outcome};
 use crate::json::{self, Value};
 use crate::stats::RunStats;
-
-/// The default retired-to-live clause ratio that triggers a session
-/// context rebuild.
-pub const DEFAULT_SESSION_GC_RATIO: f64 = 4.0;
-
-/// The default live-clause floor under which the session GC never
-/// rebuilds a context.
-pub const DEFAULT_SESSION_GC_FLOOR: u64 = 512;
 
 /// File inside a state directory holding the blast-cache CNF templates.
 pub const STATE_BLAST_FILE: &str = "blast_cache.txt";
@@ -97,10 +87,6 @@ pub const STATE_CORPUS_FILE: &str = "corpus.txt";
 /// |---|---|---|
 /// | `LEAPFROG_THREADS` | [`threads`](Self::threads) | count |
 /// | `LEAPFROG_STRICT_WITNESS` | [`strict_witness`](Self::strict_witness) | boolean |
-/// | `LEAPFROG_SESSION_GC` | [`session_gc_ratio`](Self::session_gc_ratio) | number; `0`/`off` = off |
-/// | `LEAPFROG_SESSION_GC_FLOOR` | [`session_gc_floor`](Self::session_gc_floor) | count |
-/// | `LEAPFROG_NO_BLAST_CACHE` | [`blast_cache`](Self::blast_cache) (negated) | boolean |
-/// | `LEAPFROG_SAT_LBD` | [`sat_lbd`](Self::sat_lbd) | boolean |
 /// | `LEAPFROG_WARM_CAP` | [`warm_capacity`](Self::warm_capacity) | count |
 ///
 /// Only `leaps`, `reach_pruning`, `early_stop` and `max_iterations`
@@ -130,23 +116,6 @@ pub struct EngineConfig {
     /// exempt: no sound generic search exists for arbitrary relational
     /// conjuncts.
     pub strict_witness: bool,
-    /// Clause-budget GC for the per-guard incremental sessions: a session
-    /// rebuilds its solver context (re-seeding premises and persisted
-    /// CEGAR instantiations) once the clauses retired by finished queries
-    /// exceed `ratio ×` its live clauses. `None` disables the GC.
-    /// Results are bit-identical at every setting.
-    pub session_gc_ratio: Option<f64>,
-    /// Live-clause floor under which a session never rebuilds — small
-    /// cache-served sessions churn retired clauses quickly, and rebuilding
-    /// them costs more than it reclaims.
-    pub session_gc_floor: u64,
-    /// Whether the shared structural CNF cache is enabled. Results are
-    /// identical either way.
-    pub blast_cache: bool,
-    /// Glucose-style two-tier LBD learnt-clause management in the CDCL
-    /// core (off = activity-only deletion, the ablation baseline).
-    /// Verdicts and witnesses are identical either way.
-    pub sat_lbd: bool,
     /// LRU capacity bound on the warm-state maps (`0` = unbounded): at
     /// most this many warm query-shape states, interned pairs, resident
     /// guard sessions per pool and instantiation-ledger entries stay
@@ -169,10 +138,6 @@ impl Default for EngineConfig {
             max_iterations: None,
             threads: 0,
             strict_witness: false,
-            session_gc_ratio: Some(DEFAULT_SESSION_GC_RATIO),
-            session_gc_floor: DEFAULT_SESSION_GC_FLOOR,
-            blast_cache: true,
-            sat_lbd: true,
             warm_capacity: 0,
             state_dir: None,
         }
@@ -203,35 +168,47 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// One looked-up variable: its name and its non-blank value.
-type Setting = Option<(&'static str, String)>;
-
-/// The boolean grammar shared by every flag variable.
-fn flag_word(value: &str) -> Option<bool> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
+/// The process environment as a variable lookup (`None` = unset); a
+/// non-UTF-8 value is kept, lossily, so the parsers reject it by name.
+pub fn env_lookup(var: &str) -> Option<String> {
+    std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
 }
 
-fn parse_flag(setting: Setting) -> Result<Option<bool>, ConfigError> {
-    setting
-        .map(|(var, value)| {
-            flag_word(&value).ok_or(ConfigError {
+/// `var`'s value through `lookup`, with a blank value counted as unset.
+fn setting(lookup: &impl Fn(&str) -> Option<String>, var: &str) -> Option<String> {
+    lookup(var).filter(|v| !v.trim().is_empty())
+}
+
+/// Reads a flag variable through `lookup` with the boolean grammar every
+/// `LEAPFROG_*` flag shares (1/0, true/false, on/off, yes/no, any case;
+/// blank = unset).
+fn flag_setting(
+    lookup: &impl Fn(&str) -> Option<String>,
+    var: &'static str,
+) -> Result<Option<bool>, ConfigError> {
+    setting(lookup, var)
+        .map(|value| match value.trim().to_ascii_lowercase().as_str() {
+            "1" | "true" | "on" | "yes" => Ok(true),
+            "0" | "false" | "off" | "no" => Ok(false),
+            _ => Err(ConfigError {
                 var,
                 value,
                 expected: "a boolean (1/0, true/false, on/off, yes/no)",
-            })
+            }),
         })
         .transpose()
 }
 
-/// The number grammar shared by every count variable: a plain
-/// non-negative decimal integer.
-fn parse_number<T: std::str::FromStr>(setting: Setting) -> Result<Option<T>, ConfigError> {
-    setting
-        .map(|(var, value)| {
+/// Reads a count variable through `lookup` with the grammar every
+/// `LEAPFROG_*` count shares: a plain non-negative decimal integer
+/// (blank = unset). A malformed value is an error naming the variable;
+/// the daemon's deployment settings parse through this too.
+pub fn count_setting<T: std::str::FromStr>(
+    lookup: &impl Fn(&str) -> Option<String>,
+    var: &'static str,
+) -> Result<Option<T>, ConfigError> {
+    setting(lookup, var)
+        .map(|value| {
             value.trim().parse().map_err(|_| ConfigError {
                 var,
                 value,
@@ -241,26 +218,9 @@ fn parse_number<T: std::str::FromStr>(setting: Setting) -> Result<Option<T>, Con
         .transpose()
 }
 
-/// `LEAPFROG_SESSION_GC`: a false flag or a zero ratio turns the GC off;
-/// anything else must be a positive, finite ratio.
-fn parse_gc_ratio((var, value): (&'static str, String)) -> Result<Option<f64>, ConfigError> {
-    if flag_word(&value) == Some(false) {
-        return Ok(None);
-    }
-    match value.trim().parse::<f64>() {
-        Ok(0.0) => Ok(None),
-        Ok(r) if r.is_finite() && r > 0.0 => Ok(Some(r)),
-        _ => Err(ConfigError {
-            var,
-            value,
-            expected: "a positive ratio, or 0/off to disable the GC",
-        }),
-    }
-}
-
 impl EngineConfig {
-    /// Pure defaults: every optimization on, auto thread count, GC ratio 4
-    /// with a 512-clause floor — independent of the environment.
+    /// Pure defaults: every optimization on, auto thread count —
+    /// independent of the environment.
     pub fn new() -> EngineConfig {
         EngineConfig::default()
     }
@@ -269,33 +229,19 @@ impl EngineConfig {
     /// and non-blank (see the type-level table). A malformed value is an
     /// error naming the variable, never a silent default.
     pub fn from_env() -> Result<EngineConfig, ConfigError> {
-        EngineConfig::from_lookup(|var| {
-            std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
-        })
+        EngineConfig::from_lookup(env_lookup)
     }
 
     /// [`EngineConfig::from_env`] over an explicit variable lookup
     /// (`None` = unset), so tests exercise the parser without touching
     /// the process environment.
     fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<EngineConfig, ConfigError> {
-        let get = |var: &'static str| -> Setting {
-            lookup(var)
-                .filter(|v| !v.trim().is_empty())
-                .map(|v| (var, v))
-        };
         let d = EngineConfig::default();
         Ok(EngineConfig {
-            threads: parse_number(get("LEAPFROG_THREADS"))?.unwrap_or(d.threads),
-            strict_witness: parse_flag(get("LEAPFROG_STRICT_WITNESS"))?.unwrap_or(d.strict_witness),
-            session_gc_ratio: match get("LEAPFROG_SESSION_GC") {
-                Some(setting) => parse_gc_ratio(setting)?,
-                None => d.session_gc_ratio,
-            },
-            session_gc_floor: parse_number(get("LEAPFROG_SESSION_GC_FLOOR"))?
-                .unwrap_or(d.session_gc_floor),
-            blast_cache: !parse_flag(get("LEAPFROG_NO_BLAST_CACHE"))?.unwrap_or(!d.blast_cache),
-            sat_lbd: parse_flag(get("LEAPFROG_SAT_LBD"))?.unwrap_or(d.sat_lbd),
-            warm_capacity: parse_number(get("LEAPFROG_WARM_CAP"))?.unwrap_or(d.warm_capacity),
+            threads: count_setting(&lookup, "LEAPFROG_THREADS")?.unwrap_or(d.threads),
+            strict_witness: flag_setting(&lookup, "LEAPFROG_STRICT_WITNESS")?
+                .unwrap_or(d.strict_witness),
+            warm_capacity: count_setting(&lookup, "LEAPFROG_WARM_CAP")?.unwrap_or(d.warm_capacity),
             ..d
         })
     }
@@ -309,11 +255,6 @@ impl EngineConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
         }
-    }
-
-    /// The CDCL configuration every solver this engine builds runs under.
-    fn solver_config(&self) -> SolverConfig {
-        SolverConfig { lbd: self.sat_lbd }
     }
 
     /// Sets the worker-thread count (builder style).
@@ -349,31 +290,6 @@ impl EngineConfig {
     /// Enables or disables strict witness mode (builder style).
     pub fn strict_witness(mut self, on: bool) -> Self {
         self.strict_witness = on;
-        self
-    }
-
-    /// Sets the session GC ratio (builder style).
-    pub fn session_gc_ratio(mut self, ratio: Option<f64>) -> Self {
-        self.session_gc_ratio = ratio;
-        self
-    }
-
-    /// Sets the session GC live-clause floor (builder style).
-    pub fn session_gc_floor(mut self, floor: u64) -> Self {
-        self.session_gc_floor = floor;
-        self
-    }
-
-    /// Enables or disables the shared blast cache (builder style).
-    pub fn blast_cache(mut self, on: bool) -> Self {
-        self.blast_cache = on;
-        self
-    }
-
-    /// Enables or disables LBD-tiered learnt-clause management in the
-    /// CDCL core (builder style).
-    pub fn sat_lbd(mut self, on: bool) -> Self {
-        self.sat_lbd = on;
         self
     }
 
@@ -881,7 +797,7 @@ impl Engine {
     /// persisted warm state from [`EngineConfig::state_dir`]. (Also
     /// reachable as [`EngineConfig::build`].)
     pub fn new(config: EngineConfig) -> Engine {
-        let cache = SharedBlastCache::with_enabled(config.blast_cache);
+        let cache = SharedBlastCache::new();
         let ledger = InstLedger::with_capacity(config.warm_capacity);
         let mut engine = Engine {
             config,
@@ -1307,7 +1223,7 @@ impl Engine {
         let key = WarmKey::of(req);
         self.tick += 1;
         let tick = self.tick;
-        let mut solver = SmtSolver::with_shared_cache(self.cache.clone(), cfg.solver_config());
+        let mut solver = SmtSolver::with_shared_cache(self.cache.clone());
         let pair = self.pair_mut(pid);
         pair.last_used = tick;
         let mut warm = pair.warm.remove(&key).unwrap_or_default();
@@ -1546,10 +1462,7 @@ impl Engine {
                             continue;
                         };
                         for &qi in &task.indices {
-                            let mut solver = SmtSolver::with_shared_cache(
-                                cache.clone(),
-                                task.req.config.solver_config(),
-                            );
+                            let mut solver = SmtSolver::with_shared_cache(cache.clone());
                             let mut stats = RunStats::default();
                             let outcome = run_worklist(
                                 &task.aut,
@@ -1683,10 +1596,7 @@ fn run_worklist(
     warm.runs += 1;
 
     let session_cfg = SessionConfig {
-        gc_ratio: opts.session_gc_ratio,
-        gc_floor: opts.session_gc_floor,
         ledger: Some(ledger.clone()),
-        sat: opts.solver_config(),
     };
     warm.ensure_pools(threads, &session_cfg);
     let mut main_pool = warm.main_pool.take().expect("ensured above");
@@ -2277,19 +2187,11 @@ mod tests {
         let cfg = EngineConfig::from_lookup(vars(&[
             ("LEAPFROG_THREADS", "3"),
             ("LEAPFROG_STRICT_WITNESS", "true"),
-            ("LEAPFROG_SESSION_GC", "2.5"),
-            ("LEAPFROG_SESSION_GC_FLOOR", "64"),
-            ("LEAPFROG_NO_BLAST_CACHE", "yes"),
-            ("LEAPFROG_SAT_LBD", "off"),
             ("LEAPFROG_WARM_CAP", " 9 "),
         ]))
         .unwrap();
         assert_eq!(cfg.threads, 3);
         assert!(cfg.strict_witness);
-        assert_eq!(cfg.session_gc_ratio, Some(2.5));
-        assert_eq!(cfg.session_gc_floor, 64);
-        assert!(!cfg.blast_cache);
-        assert!(!cfg.sat_lbd);
         assert_eq!(cfg.warm_capacity, 9);
         // Semantic knobs never come from the environment.
         assert!(cfg.leaps && cfg.reach_pruning && cfg.early_stop);
@@ -2312,19 +2214,9 @@ mod tests {
                 ("no", false),
             ])
         {
-            let cfg = EngineConfig::from_lookup(vars(&[
-                ("LEAPFROG_STRICT_WITNESS", value),
-                ("LEAPFROG_NO_BLAST_CACHE", value),
-                ("LEAPFROG_SAT_LBD", value),
-            ]))
-            .unwrap();
+            let cfg =
+                EngineConfig::from_lookup(vars(&[("LEAPFROG_STRICT_WITNESS", value)])).unwrap();
             assert_eq!(cfg.strict_witness, on, "{value}");
-            assert_eq!(cfg.blast_cache, !on, "{value}");
-            assert_eq!(cfg.sat_lbd, on, "{value}");
-        }
-        for off in ["0", "0.0", "0e0", "off", "false", "no"] {
-            let cfg = EngineConfig::from_lookup(vars(&[("LEAPFROG_SESSION_GC", off)])).unwrap();
-            assert_eq!(cfg.session_gc_ratio, None, "{off}");
         }
     }
 
@@ -2334,13 +2226,9 @@ mod tests {
             ("LEAPFROG_THREADS", "four"),
             ("LEAPFROG_THREADS", "-1"),
             ("LEAPFROG_STRICT_WITNESS", "enabled"),
-            ("LEAPFROG_SESSION_GC", "abc"),
-            ("LEAPFROG_SESSION_GC", "-2"),
-            ("LEAPFROG_SESSION_GC", "inf"),
-            ("LEAPFROG_SESSION_GC_FLOOR", "1e3"),
-            ("LEAPFROG_NO_BLAST_CACHE", "2"),
-            ("LEAPFROG_SAT_LBD", "maybe"),
+            ("LEAPFROG_STRICT_WITNESS", "2"),
             ("LEAPFROG_WARM_CAP", "lots"),
+            ("LEAPFROG_WARM_CAP", "1e3"),
         ] {
             let err = EngineConfig::from_lookup(vars(&[(var, value)])).unwrap_err();
             assert_eq!((err.var, err.value.as_str()), (var, value));

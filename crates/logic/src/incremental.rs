@@ -25,13 +25,13 @@
 //!   since their last clean validation, and all violated blocks of a round
 //!   refine the context in a single batched assert.
 //! * **Contexts are clause-budgeted.** Activation-retired per-query
-//!   clauses accumulate in the CDCL solver forever; when the retired count
-//!   exceeds `gc_ratio ×` the live (permanent) count, the session
-//!   transparently rebuilds a fresh [`BlastContext`] from its persisted
-//!   permanent-formula list — premise seeds *and* every CEGAR
-//!   instantiation discovered so far — so no refinement work is lost.
-//!   `EngineConfig::session_gc_ratio` / `LEAPFROG_SESSION_GC` configure the
-//!   ratio (`0` disables GC).
+//!   clauses accumulate in the CDCL solver forever; once the context holds
+//!   at least `GC_FLOOR` live (permanent) clauses and the retired count
+//!   exceeds `GC_RATIO ×` the live count, the session transparently
+//!   rebuilds a fresh [`BlastContext`] from its persisted permanent-formula
+//!   list — premise seeds *and* every CEGAR instantiation discovered so
+//!   far — so no refinement work is lost. This bounds the growth of a
+//!   long-lived engine's sessions.
 //!
 //! Verdicts are exact booleans (the CEGAR loop validates any candidate
 //! model against the *true* `∀`-premises), so sessions are freely mixed
@@ -46,7 +46,7 @@ use leapfrog_bitvec::BitVec;
 use leapfrog_p4a::ast::Automaton;
 use leapfrog_smt::{
     instantiate_forall, BBit, BlastContext, BvVar, Declarations, Formula, InstLedger, QueryStats,
-    RefinementOracle, SharedBlastCache, SolverConfig, SolverStats,
+    RefinementOracle, SharedBlastCache, SolverStats,
 };
 
 use crate::confrel::ConfRel;
@@ -71,41 +71,34 @@ mod meters {
         LazyHistogram::new("leapfrog_guard_check_seconds");
 }
 
-/// Typed configuration for guard sessions and session pools — the knobs a
-/// long-lived engine owns, as one value instead of a parameter sprawl.
-#[derive(Debug, Clone)]
+/// Session GC: a context rebuilds once the clauses retired by finished
+/// queries exceed `GC_RATIO ×` its live (permanent) clauses.
+const GC_RATIO: u64 = 4;
+
+/// Session GC floor: a context holding fewer live clauses never rebuilds,
+/// however lopsided its retired/live ratio — small, cache-served sessions
+/// churn through activation-retired clauses quickly, and rebuilding them
+/// costs more than it reclaims.
+const GC_FLOOR: u64 = 512;
+
+/// Whether a context with `live` permanent clauses and `retired`
+/// finished-query clauses is due for a GC rebuild.
+fn gc_due(retired: u64, live: u64) -> bool {
+    live >= GC_FLOOR && retired > GC_RATIO.saturating_mul(live)
+}
+
+/// Typed configuration for guard sessions and session pools: the
+/// cross-session state a long-lived engine shares with them.
+#[derive(Debug, Clone, Default)]
 pub struct SessionConfig {
-    /// Clause-budget GC ratio: rebuild the context when retired clauses
-    /// exceed `ratio ×` live clauses. `None` disables the GC.
-    pub gc_ratio: Option<f64>,
-    /// Clause-count floor for the GC: a context holding fewer live clauses
-    /// than this never rebuilds, however lopsided its retired/live ratio —
-    /// small, cache-served sessions churn through activation-retired
-    /// clauses quickly, and rebuilding them buys nothing.
-    pub gc_floor: u64,
     /// Cross-session instantiation ledger: `∀`-block validation verdicts
     /// keyed by canonical block identity and support valuation, shared by
     /// every session of an engine (across guards, pools and threads).
     pub ledger: Option<InstLedger>,
-    /// CDCL solver configuration for every context this session (or
-    /// pool) creates — including GC-rebuild replacements.
-    pub sat: SolverConfig,
-}
-
-impl Default for SessionConfig {
-    /// GC and ledger off; default solver configuration.
-    fn default() -> SessionConfig {
-        SessionConfig {
-            gc_ratio: None,
-            gc_floor: 0,
-            ledger: None,
-            sat: SolverConfig::default(),
-        }
-    }
 }
 
 impl SessionConfig {
-    /// GC and ledger both off — the standalone-session default.
+    /// No ledger — the standalone-session default.
     pub fn new() -> SessionConfig {
         SessionConfig::default()
     }
@@ -127,7 +120,7 @@ pub struct GuardSession {
     /// Root clauses contributed by permanent asserts in the current
     /// context (measured via [`BlastContext::clauses_added`] deltas).
     live_clauses: u64,
-    /// GC budget and cross-session ledger (see [`SessionConfig`]).
+    /// Cross-session ledger (see [`SessionConfig`]).
     cfg: SessionConfig,
     /// Set when the permanent constraints became unsatisfiable at the
     /// root: the premises entail everything.
@@ -143,24 +136,9 @@ pub struct GuardSession {
 }
 
 impl GuardSession {
-    /// A fresh session for a guard, with clause-budget GC disabled.
+    /// A fresh session for a guard, with no ledger.
     pub fn new(guard: TemplatePair) -> GuardSession {
-        GuardSession::with_gc(guard, None)
-    }
-
-    /// A fresh session for a guard. `gc_ratio` bounds context growth:
-    /// when the clauses retired by finished queries exceed `ratio ×` the
-    /// live (permanent) clauses, the context is rebuilt from the persisted
-    /// permanent list. `None` disables the GC. (Compat shim over
-    /// [`GuardSession::with_config`] with no floor and no ledger.)
-    pub fn with_gc(guard: TemplatePair, gc_ratio: Option<f64>) -> GuardSession {
-        GuardSession::with_config(
-            guard,
-            SessionConfig {
-                gc_ratio,
-                ..SessionConfig::default()
-            },
-        )
+        GuardSession::with_config(guard, SessionConfig::default())
     }
 
     /// A fresh session for a guard under a full [`SessionConfig`].
@@ -174,9 +152,9 @@ impl GuardSession {
                 guard_left: guard.left.buf_len,
                 guard_right: guard.right.buf_len,
             },
-            ctx: BlastContext::with_config(cfg.sat),
+            ctx: BlastContext::new(),
             premise_count: 0,
-            oracle: RefinementOracle::with_solver_config(cfg.sat),
+            oracle: RefinementOracle::new(),
             permanent: Vec::new(),
             live_clauses: 0,
             cfg,
@@ -199,28 +177,20 @@ impl GuardSession {
         self.ctx.clauses_added().saturating_sub(self.live_clauses)
     }
 
-    /// Rebuilds the context from the permanent-formula list when the
-    /// retired-clause budget is exhausted. CEGAR instantiations are part
-    /// of the list, so no refinement work is re-discovered. Contexts whose
-    /// live-clause count is under [`SessionConfig::gc_floor`] never
-    /// rebuild: their absolute size is already bounded by the floor, and
-    /// on small cache-served rows the default ratio otherwise triggers
-    /// rebuilds that cost more than the clauses they reclaim.
+    /// Rebuilds the context when the retired-clause budget is exhausted
+    /// (see [`gc_due`]).
     fn maybe_gc(&mut self, cache: &SharedBlastCache) {
-        let Some(ratio) = self.cfg.gc_ratio else {
-            return;
-        };
-        if self.poisoned {
-            return;
+        if !self.poisoned && gc_due(self.retired_clauses(), self.live_clauses) {
+            self.rebuild(cache);
         }
-        if self.live_clauses < self.cfg.gc_floor {
-            return;
-        }
-        if (self.retired_clauses() as f64) <= ratio * self.live_clauses.max(1) as f64 {
-            return;
-        }
+    }
+
+    /// Rebuilds the context from the permanent-formula list. CEGAR
+    /// instantiations are part of the list, so no refinement work is
+    /// re-discovered.
+    fn rebuild(&mut self, cache: &SharedBlastCache) {
         self.sat_retired.absorb(&self.ctx.solver().stats());
-        self.ctx = BlastContext::with_config(self.cfg.sat);
+        self.ctx = BlastContext::new();
         self.live_clauses = 0;
         self.stats.session_rebuilds += 1;
         meters::SESSION_REBUILDS.inc();
@@ -432,18 +402,9 @@ pub struct SessionPool {
 }
 
 impl SessionPool {
-    /// An empty pool with clause-budget GC disabled.
+    /// An empty pool with no ledger.
     pub fn new() -> SessionPool {
         SessionPool::default()
-    }
-
-    /// An empty pool whose sessions rebuild their contexts when retired
-    /// clauses exceed `ratio ×` the live clauses (`None` disables GC).
-    pub fn with_gc(gc_ratio: Option<f64>) -> SessionPool {
-        SessionPool::with_config(SessionConfig {
-            gc_ratio,
-            ..SessionConfig::default()
-        })
     }
 
     /// An empty pool whose sessions are created under `cfg`.
@@ -666,9 +627,10 @@ mod tests {
 
     #[test]
     fn gc_forced_session_agrees_and_rebuilds() {
-        // An aggressive GC ratio forces context rebuilds between queries;
-        // every verdict must still match the stateless pipeline, and the
-        // rebuild counter must record the churn.
+        // A GC rebuild forced before every query replays the permanent
+        // list into a fresh context each time; every verdict must still
+        // match the stateless pipeline, and the rebuild counter must
+        // record the churn.
         let a = aut();
         let g = guard(3, 3);
         let h = a.header_by_name("h").unwrap();
@@ -698,18 +660,20 @@ mod tests {
             ConfRel::forbidden(g),
         ];
         let cache = SharedBlastCache::new();
-        let mut session = GuardSession::with_gc(g, Some(0.001));
+        let mut session = GuardSession::new(g);
         for upto in 0..=premises.len() {
             let slice: Vec<&ConfRel> = premises[..upto].iter().collect();
             for concl in &conclusions {
                 let expected = entails_stateless(&a, &premises[..upto], concl);
+                session.rebuild(&cache);
                 let got = session.check(&a, &slice, concl, &cache);
                 assert_eq!(got, expected, "prefix {upto}: {}", concl.display(&a));
             }
         }
-        assert!(
-            session.stats().session_rebuilds > 0,
-            "a near-zero GC ratio must force rebuilds: {:?}",
+        assert_eq!(
+            session.stats().session_rebuilds,
+            ((premises.len() + 1) * conclusions.len()) as u64,
+            "every forced rebuild must be counted: {:?}",
             session.stats()
         );
         assert!(session.stats().live_clauses_peak > 0);
@@ -717,10 +681,12 @@ mod tests {
 
     #[test]
     fn gc_floor_suppresses_rebuilds_below_the_threshold() {
-        // Same aggressive ratio as the forced-GC test, but with a floor
-        // far above anything this small session will ever hold live: no
-        // rebuild may fire, and every verdict must still match the
-        // stateless pipeline.
+        // The ratio alone would rebuild this small session, but its live
+        // clauses stay under the floor: no rebuild may fire, and every
+        // verdict must still match the stateless pipeline.
+        assert!(!gc_due(u64::MAX, GC_FLOOR - 1));
+        assert!(!gc_due(GC_RATIO * GC_FLOOR, GC_FLOOR));
+        assert!(gc_due(GC_RATIO * GC_FLOOR + 1, GC_FLOOR));
         let a = aut();
         let g = guard(3, 3);
         let h = a.header_by_name("h").unwrap();
@@ -747,14 +713,7 @@ mod tests {
             ConfRel::forbidden(g),
         ];
         let cache = SharedBlastCache::new();
-        let mut session = GuardSession::with_config(
-            g,
-            SessionConfig {
-                gc_ratio: Some(0.001),
-                gc_floor: 1_000_000,
-                ..SessionConfig::default()
-            },
-        );
+        let mut session = GuardSession::new(g);
         for upto in 0..=premises.len() {
             let slice: Vec<&ConfRel> = premises[..upto].iter().collect();
             for concl in &conclusions {
@@ -763,6 +722,21 @@ mod tests {
                 assert_eq!(got, expected, "prefix {upto}: {}", concl.display(&a));
             }
         }
+        // Repeat the conclusions at the full prefix until the retired
+        // clauses outweigh the live ones by more than the ratio.
+        let slice: Vec<&ConfRel> = premises.iter().collect();
+        for _ in 0..2 {
+            for concl in &conclusions {
+                let expected = entails_stateless(&a, &premises, concl);
+                assert_eq!(session.check(&a, &slice, concl, &cache), expected);
+            }
+        }
+        assert!(
+            session.retired_clauses() > GC_RATIO * session.live_clauses,
+            "{} retired, {} live",
+            session.retired_clauses(),
+            session.live_clauses
+        );
         assert_eq!(
             session.stats().session_rebuilds,
             0,
@@ -791,7 +765,6 @@ mod tests {
         let ledger = leapfrog_smt::InstLedger::new();
         let cfg = SessionConfig {
             ledger: Some(ledger.clone()),
-            ..SessionConfig::default()
         };
         let slice: Vec<&ConfRel> = premises.iter().collect();
         let run = |cfg: SessionConfig| -> (Vec<bool>, u64) {

@@ -59,12 +59,8 @@ fn chunked_interpreter_agrees_with_bit_by_bit() {
     for _ in 0..CASES {
         let aut = random_automaton(&mut rng);
         let word = word(&mut rng, 40);
-        let mut seed = rng.next_u64() | 1;
-        let mut store_rng = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            seed
-        };
-        let store = Store::random(&aut, &mut store_rng);
+        let mut store_rng = Rng::new(rng.next_u64());
+        let store = Store::random(&aut, || store_rng.next_u64());
         let q = StateId(0);
         let slow = Config::with_store(q, store.clone()).accepts(&aut, &word);
         let fast = Config::with_store(q, store).accepts_chunked(&aut, &word);

@@ -14,10 +14,8 @@
 //! [cache]: https://docs.rs/leapfrog-smt
 //!
 //! The loaders return plain clause lists; [`Cnf::load_into`] feeds them to
-//! a [`Solver`] built with whatever [`crate::SolverConfig`] the caller
-//! wants,
-//! which is how the `sat_micro` dev binary A/B-tests solver heuristics on
-//! identical input.
+//! a [`Solver`], which is how the `sat_micro` dev binary times the solver
+//! on identical input.
 
 use crate::{Lit, Solver, Var};
 

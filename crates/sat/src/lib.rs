@@ -32,8 +32,7 @@
 //! levels among its literals — is recorded. Clauses with LBD ≤ 2 form the
 //! "core" tier and are never deleted (alongside clauses currently locked
 //! as propagation reasons and all binary clauses); the remainder are
-//! reduced by LBD first, activity second. Setting [`SolverConfig::lbd`]
-//! to `false` falls back to activity-only deletion for ablation runs.
+//! reduced by LBD first, activity second.
 //!
 //! The solver is incremental: clauses may be added between [`Solver::solve`]
 //! calls, and each call may pass *assumptions* (literals forced true for
@@ -234,25 +233,8 @@ impl SolverStats {
     }
 }
 
-/// Solver construction knobs. The solver reads no environment: callers
-/// pass the configuration they were given (the engine derives it from
-/// `EngineConfig::sat_lbd`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolverConfig {
-    /// Glucose-style two-tier LBD learnt-clause management (default on).
-    /// Off falls back to activity-only deletion — the ablation baseline.
-    pub lbd: bool,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig { lbd: true }
-    }
-}
-
 /// A conflict-driven clause-learning SAT solver.
 pub struct Solver {
-    cfg: SolverConfig,
     /// The clause arena: every clause is `HEADER_WORDS` header words
     /// followed by its literals, allocated back to back.
     arena: Vec<u32>,
@@ -300,15 +282,9 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with the default configuration.
+    /// Creates an empty solver.
     pub fn new() -> Self {
-        Self::with_config(SolverConfig::default())
-    }
-
-    /// Creates an empty solver with an explicit configuration.
-    pub fn with_config(cfg: SolverConfig) -> Self {
         Solver {
-            cfg,
             arena: Vec::new(),
             watches: Vec::new(),
             bin_watches: Vec::new(),
@@ -337,11 +313,6 @@ impl Solver {
             learnt_buf: Vec::new(),
             minimize_buf: Vec::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> SolverConfig {
-        self.cfg
     }
 
     /// Allocates a fresh variable.
@@ -952,41 +923,28 @@ impl Solver {
     }
 
     /// Deletes the worst half of the deletable learnt clauses and compacts
-    /// the arena. With LBD management on, the deletable tier excludes
-    /// "core" clauses (LBD ≤ 2) and sorts by LBD first, activity second;
-    /// with it off, the tier is all long learnt clauses sorted by activity
-    /// alone. Binary and locked (reason) clauses always survive.
+    /// the arena. The deletable tier excludes "core" clauses (LBD ≤ 2) and
+    /// sorts by LBD first, activity second. Binary and locked (reason)
+    /// clauses always survive.
     fn reduce_db(&mut self) {
         let mut candidates: Vec<ClauseRef> = Vec::new();
         let mut off = 0usize;
         while off < self.arena.len() {
             let c = ClauseRef(off as u32);
             let len = self.clause_len(c);
-            if self.clause_learnt(c)
-                && len > 2
-                && !(self.cfg.lbd && self.clause_lbd(c) <= 2)
-                && !self.locked(c)
-            {
+            if self.clause_learnt(c) && len > 2 && self.clause_lbd(c) > 2 && !self.locked(c) {
                 candidates.push(c);
             }
             off += HEADER_WORDS + len;
         }
-        if self.cfg.lbd {
-            // Worst first: highest LBD, then lowest activity; arena offset
-            // as the deterministic tiebreak.
-            candidates.sort_by(|&a, &b| {
-                self.clause_lbd(b)
-                    .cmp(&self.clause_lbd(a))
-                    .then(self.clause_activity(a).total_cmp(&self.clause_activity(b)))
-                    .then(a.0.cmp(&b.0))
-            });
-        } else {
-            candidates.sort_by(|&a, &b| {
-                self.clause_activity(a)
-                    .total_cmp(&self.clause_activity(b))
-                    .then(a.0.cmp(&b.0))
-            });
-        }
+        // Worst first: highest LBD, then lowest activity; arena offset as
+        // the deterministic tiebreak.
+        candidates.sort_by(|&a, &b| {
+            self.clause_lbd(b)
+                .cmp(&self.clause_lbd(a))
+                .then(self.clause_activity(a).total_cmp(&self.clause_activity(b)))
+                .then(a.0.cmp(&b.0))
+        });
         let half = candidates.len() / 2;
         if half == 0 {
             return;
@@ -1544,39 +1502,37 @@ mod tests {
     #[test]
     fn property_cdcl_matches_reference_dpll() {
         // SAT/UNSAT agreement with an independent reference solver, and
-        // model validity on SAT, for both LBD settings of the CDCL core.
+        // model validity on SAT.
         let mut next = lcg(0xc0ffee11);
         for round in 0..120 {
             let (n, clauses) = random_cnf(&mut next);
             let reference = reference_dpll(n, &clauses);
-            for lbd in [true, false] {
-                let mut s = Solver::with_config(SolverConfig { lbd });
-                s.set_max_learnt(8.0); // exercise reduction constantly
-                let vars = lits(&mut s, n);
-                for c in &clauses {
-                    let cl: Vec<Lit> = c
-                        .iter()
-                        .map(|&(v, pos)| Lit::with_polarity(vars[v], pos))
-                        .collect();
-                    s.add_clause(&cl);
-                }
-                let got = s.solve(&[]) == SolveResult::Sat;
-                assert_eq!(
-                    got,
-                    reference.is_some(),
-                    "round {round} (lbd={lbd}): CDCL disagrees with reference DPLL"
-                );
-                if got {
-                    for c in &clauses {
-                        assert!(
-                            c.iter()
-                                .any(|&(v, pos)| s.value(vars[v]).unwrap_or(false) == pos),
-                            "round {round} (lbd={lbd}): invalid model"
-                        );
-                    }
-                }
-                check_arena_consistency(&s);
+            let mut s = Solver::new();
+            s.set_max_learnt(8.0); // exercise reduction constantly
+            let vars = lits(&mut s, n);
+            for c in &clauses {
+                let cl: Vec<Lit> = c
+                    .iter()
+                    .map(|&(v, pos)| Lit::with_polarity(vars[v], pos))
+                    .collect();
+                s.add_clause(&cl);
             }
+            let got = s.solve(&[]) == SolveResult::Sat;
+            assert_eq!(
+                got,
+                reference.is_some(),
+                "round {round}: CDCL disagrees with reference DPLL"
+            );
+            if got {
+                for c in &clauses {
+                    assert!(
+                        c.iter()
+                            .any(|&(v, pos)| s.value(vars[v]).unwrap_or(false) == pos),
+                        "round {round}: invalid model"
+                    );
+                }
+            }
+            check_arena_consistency(&s);
         }
     }
 
@@ -1660,34 +1616,6 @@ mod tests {
                     break; // root-unsat is absorbing
                 }
             }
-        }
-    }
-
-    #[test]
-    fn lbd_toggle_preserves_verdicts() {
-        // The ablation knob may change models and search order but never
-        // verdicts.
-        let mut next = lcg(0x9e3779b9);
-        for round in 0..60 {
-            let (n, clauses) = random_cnf(&mut next);
-            let mut verdicts = Vec::new();
-            for lbd in [true, false] {
-                let mut s = Solver::with_config(SolverConfig { lbd });
-                s.set_max_learnt(8.0);
-                let vars = lits(&mut s, n);
-                for c in &clauses {
-                    let cl: Vec<Lit> = c
-                        .iter()
-                        .map(|&(v, pos)| Lit::with_polarity(vars[v], pos))
-                        .collect();
-                    s.add_clause(&cl);
-                }
-                verdicts.push(s.solve(&[]));
-            }
-            assert_eq!(
-                verdicts[0], verdicts[1],
-                "round {round}: LBD toggle changed the verdict"
-            );
         }
     }
 }

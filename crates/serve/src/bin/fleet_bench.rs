@@ -75,7 +75,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap();
     let names: Vec<String> = standard_benchmarks(scale)
         .iter()
         .map(|b| b.name.to_string())

@@ -16,11 +16,12 @@
 //!   CI smoke job discovers the port this way).
 //!
 //! Engine tuning comes from the `LEAPFROG_*` environment
-//! (`EngineConfig::from_env()`: threads, session GC, blast cache,
-//! `LEAPFROG_WARM_CAP`); named rows are built at `LEAPFROG_SCALE`;
+//! (`EngineConfig::from_env()`: `LEAPFROG_THREADS`,
+//! `LEAPFROG_STRICT_WITNESS`, `LEAPFROG_WARM_CAP`); named rows are built
+//! at `LEAPFROG_SCALE`; the shard count defaults to `LEAPFROG_WORKERS`;
 //! admission control reads `LEAPFROG_QUEUE_DEPTH` and
-//! `LEAPFROG_CLIENT_QUOTA`. A malformed engine knob is reported and the
-//! daemon exits with status 2.
+//! `LEAPFROG_CLIENT_QUOTA`. A malformed value of any of these is reported
+//! with the variable's name and the daemon exits with status 2.
 
 use leapfrog_serve::{Server, ServerOptions};
 

@@ -26,7 +26,11 @@ use leapfrog_suite::corpus::WitnessCorpus;
 use leapfrog_suite::{mutants, standard_benchmarks, Benchmark, Scale};
 
 fn rows() -> Vec<Benchmark> {
-    let mut rows = standard_benchmarks(Scale::from_env());
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("persistence_roundtrip: {e}");
+        std::process::exit(2);
+    });
+    let mut rows = standard_benchmarks(scale);
     rows.extend(mutants::mutant_benchmarks());
     rows
 }

@@ -92,7 +92,10 @@ fn main() {
         }
     };
 
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("serve_gauntlet: {e}");
+        std::process::exit(2);
+    });
     let mut rows = standard_benchmarks(scale);
     if include_mutants {
         rows.extend(mutants::mutant_benchmarks());

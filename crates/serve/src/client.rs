@@ -3,8 +3,9 @@
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use leapfrog::engine::{count_setting, env_lookup};
 use leapfrog::json::{self, Value};
-use leapfrog::RunStats;
+use leapfrog::{ConfigError, RunStats};
 
 use crate::proto::{
     self, fleet_stats_from_value, overloaded_from_value, run_stats_from_value,
@@ -88,12 +89,15 @@ pub struct Client {
 
 impl Client {
     /// Connects to a running daemon. `LEAPFROG_CLIENT_TIMEOUT_MS`, when
-    /// set, arms a read deadline on the new connection (0 disarms).
+    /// set, arms a read deadline on the new connection (0 disarms); a
+    /// malformed value is an [`std::io::ErrorKind::InvalidInput`] error
+    /// wrapping the [`ConfigError`].
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
+        let timeout = env_timeout_ms()?;
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let client = Client { stream };
-        if let Some(ms) = env_timeout_ms() {
+        if let Some(ms) = timeout {
             client.set_read_timeout(ms)?;
         }
         Ok(client)
@@ -101,20 +105,24 @@ impl Client {
 
     /// Connects with an explicit connect deadline and (optionally) a
     /// read deadline; `read` of `None` falls back to
-    /// `LEAPFROG_CLIENT_TIMEOUT_MS`. A deadline expiry surfaces as
-    /// [`ClientError::Io`] with [`ClientError::is_timeout`] true.
+    /// `LEAPFROG_CLIENT_TIMEOUT_MS` (malformed: as for [`Client::connect`]).
+    /// A deadline expiry surfaces as [`ClientError::Io`] with
+    /// [`ClientError::is_timeout`] true.
     pub fn connect_timeout(
         addr: impl ToSocketAddrs,
         connect: Duration,
         read: Option<Duration>,
     ) -> Result<Client, ClientError> {
+        let read = match read {
+            Some(d) => Some(d),
+            None => env_timeout_ms()?.flatten(),
+        };
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let mut last = None;
         for a in &addrs {
             match TcpStream::connect_timeout(a, connect) {
                 Ok(stream) => {
                     stream.set_nodelay(true).ok();
-                    let read = read.or_else(|| env_timeout_ms().flatten());
                     stream.set_read_timeout(read)?;
                     return Ok(Client { stream });
                 }
@@ -293,10 +301,37 @@ impl Client {
     }
 }
 
-/// `LEAPFROG_CLIENT_TIMEOUT_MS`: `None` = unset, `Some(None)` = 0
-/// (explicitly disarmed), `Some(Some(d))` = armed.
-fn env_timeout_ms() -> Option<Option<Duration>> {
-    let raw = std::env::var("LEAPFROG_CLIENT_TIMEOUT_MS").ok()?;
-    let ms: u64 = raw.trim().parse().ok()?;
-    Some((ms > 0).then(|| Duration::from_millis(ms)))
+/// `LEAPFROG_CLIENT_TIMEOUT_MS` through `lookup`, in the engine's count
+/// grammar: `None` = unset, `Some(None)` = 0 (explicitly disarmed),
+/// `Some(Some(d))` = armed.
+fn timeout_setting(
+    lookup: &impl Fn(&str) -> Option<String>,
+) -> Result<Option<Option<Duration>>, ConfigError> {
+    Ok(count_setting(lookup, "LEAPFROG_CLIENT_TIMEOUT_MS")?
+        .map(|ms: u64| (ms > 0).then(|| Duration::from_millis(ms))))
+}
+
+/// [`timeout_setting`] over the process environment, a malformed value
+/// as an I/O error.
+fn env_timeout_ms() -> std::io::Result<Option<Option<Duration>>> {
+    timeout_setting(&env_lookup)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timeout_setting_uses_the_count_grammar() {
+        let timeout = |value: &str| timeout_setting(&|_| Some(value.to_string()));
+        assert_eq!(timeout(" "), Ok(None));
+        assert_eq!(timeout("0"), Ok(Some(None)));
+        assert_eq!(timeout("250"), Ok(Some(Some(Duration::from_millis(250)))));
+        let err = timeout("5s").unwrap_err();
+        assert_eq!(
+            (err.var, err.value.as_str()),
+            ("LEAPFROG_CLIENT_TIMEOUT_MS", "5s")
+        );
+    }
 }

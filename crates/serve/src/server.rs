@@ -45,7 +45,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use leapfrog::engine::{
-    route_fingerprint, STATE_BLAST_FILE, STATE_CORPUS_FILE, STATE_LEDGER_FILE, STATE_MEMO_FILE,
+    count_setting, env_lookup, route_fingerprint, STATE_BLAST_FILE, STATE_CORPUS_FILE,
+    STATE_LEDGER_FILE, STATE_MEMO_FILE,
 };
 use leapfrog::json::{self, Value};
 use leapfrog::{ConfigError, Engine, EngineConfig, QuerySpec};
@@ -117,24 +118,30 @@ pub struct ServerOptions {
     pub client_quota: usize,
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 impl ServerOptions {
     /// The daemon's defaults read from the environment: the engine
-    /// configuration from [`EngineConfig::from_env`] (whose error a
-    /// malformed engine knob surfaces as), the deployment knobs from
-    /// `LEAPFROG_SCALE`, `LEAPFROG_WORKERS`, `LEAPFROG_QUEUE_DEPTH` and
-    /// `LEAPFROG_CLIENT_QUOTA`.
+    /// configuration from [`EngineConfig::from_env`], the scale from
+    /// [`Scale::from_env`], and `LEAPFROG_WORKERS`, `LEAPFROG_QUEUE_DEPTH`
+    /// and `LEAPFROG_CLIENT_QUOTA` in the engine's count grammar. A
+    /// malformed value of any of them is an error naming the variable.
     pub fn from_env() -> Result<ServerOptions, ConfigError> {
+        ServerOptions::from_lookup(EngineConfig::from_env()?, Scale::from_env()?, env_lookup)
+    }
+
+    /// [`ServerOptions::from_env`]'s count settings read through an
+    /// explicit variable lookup (`None` = unset).
+    fn from_lookup(
+        config: EngineConfig,
+        scale: Scale,
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<ServerOptions, ConfigError> {
         Ok(ServerOptions {
-            config: EngineConfig::from_env()?,
+            config,
             state_dir: None,
-            scale: Scale::from_env(),
-            workers: env_usize("LEAPFROG_WORKERS").unwrap_or(1),
-            queue_depth: env_usize("LEAPFROG_QUEUE_DEPTH").unwrap_or(256),
-            client_quota: env_usize("LEAPFROG_CLIENT_QUOTA").unwrap_or(0),
+            scale,
+            workers: count_setting(&lookup, "LEAPFROG_WORKERS")?.unwrap_or(1),
+            queue_depth: count_setting(&lookup, "LEAPFROG_QUEUE_DEPTH")?.unwrap_or(256),
+            client_quota: count_setting(&lookup, "LEAPFROG_CLIENT_QUOTA")?.unwrap_or(0),
         })
     }
 }
@@ -943,6 +950,50 @@ fn handle_connection(mut stream: TcpStream, fleet: &Fleet, stop: &AtomicBool) {
         meters::REQUEST_SECONDS.record(started.elapsed());
         if !ok {
             return;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn options(vars: &[(&str, &str)]) -> Result<ServerOptions, ConfigError> {
+        ServerOptions::from_lookup(EngineConfig::new(), Scale::Small, |name| {
+            vars.iter()
+                .find(|(var, _)| *var == name)
+                .map(|(_, value)| value.to_string())
+        })
+    }
+
+    #[test]
+    fn deployment_counts_default_and_parse() {
+        let opts = options(&[("LEAPFROG_QUEUE_DEPTH", " ")]).unwrap();
+        assert_eq!(
+            (opts.workers, opts.queue_depth, opts.client_quota),
+            (1, 256, 0)
+        );
+        let opts = options(&[
+            ("LEAPFROG_WORKERS", "4"),
+            ("LEAPFROG_QUEUE_DEPTH", "0"),
+            ("LEAPFROG_CLIENT_QUOTA", " 2 "),
+        ])
+        .unwrap();
+        assert_eq!(
+            (opts.workers, opts.queue_depth, opts.client_quota),
+            (4, 0, 2)
+        );
+    }
+
+    #[test]
+    fn malformed_deployment_counts_are_errors_naming_the_variable() {
+        for (var, value) in [
+            ("LEAPFROG_WORKERS", "four"),
+            ("LEAPFROG_QUEUE_DEPTH", "-1"),
+            ("LEAPFROG_CLIENT_QUOTA", "1.5"),
+        ] {
+            let err = options(&[(var, value)]).err().expect("malformed");
+            assert_eq!((err.var, err.value.as_str()), (var, value));
         }
     }
 }

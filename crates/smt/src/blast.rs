@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use leapfrog_bitvec::BitVec;
-use leapfrog_sat::{Lit, SolveResult, Solver, SolverConfig, SolverStats, Var};
+use leapfrog_sat::{Lit, SolveResult, Solver, SolverStats, Var};
 
 use crate::term::{BvVar, Declarations, Formula, Model, Term};
 
@@ -279,15 +279,10 @@ impl Default for BlastContext {
 }
 
 impl BlastContext {
-    /// Creates an empty context over a default-configured solver.
+    /// Creates an empty context over a fresh solver.
     pub fn new() -> Self {
-        BlastContext::with_config(SolverConfig::default())
-    }
-
-    /// Creates an empty context with an explicit solver configuration.
-    pub fn with_config(cfg: SolverConfig) -> Self {
         BlastContext {
-            engine: Engine::new(Solver::with_config(cfg)),
+            engine: Engine::new(Solver::new()),
         }
     }
 
@@ -327,17 +322,12 @@ impl BlastContext {
     /// formula's CNF template is computed at most once per structural key
     /// for the cache's whole lifetime and replayed here with fresh
     /// auxiliary variables. Returns `(still_satisfiable, cache_hit)`.
-    /// When the cache is disabled (`LEAPFROG_NO_BLAST_CACHE=1` at cache
-    /// construction), this degrades to a direct uncached assert.
     pub fn assert_formula_cached(
         &mut self,
         decls: &Declarations,
         f: &Formula,
         cache: &SharedBlastCache,
     ) -> (bool, bool) {
-        if cache.disabled {
-            return (self.assert_formula(decls, f), false);
-        }
         let (template, vars, hit) = cache.lookup_or_build(decls, f);
         (self.replay_template(decls, &template, &vars), hit)
     }
@@ -581,19 +571,10 @@ pub struct CacheStats {
 /// A structural CNF cache shared across queries — and across worker
 /// threads — behind an `Arc<Mutex<…>>`. Templates are pure functions of
 /// the canonical key, so concurrent duplicate builds are harmless (last
-/// insert wins, both are identical). `LEAPFROG_NO_BLAST_CACHE=1` at
-/// construction disables it — every cached assert degrades to a direct
-/// one — as an ablation knob; results are identical either way.
-#[derive(Debug, Clone)]
+/// insert wins, both are identical).
+#[derive(Debug, Clone, Default)]
 pub struct SharedBlastCache {
     inner: Arc<Mutex<CacheInner>>,
-    disabled: bool,
-}
-
-impl Default for SharedBlastCache {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[derive(Debug, Default)]
@@ -602,19 +583,9 @@ struct CacheInner {
 }
 
 impl SharedBlastCache {
-    /// Creates an empty, enabled cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_enabled(true)
-    }
-
-    /// Creates an empty cache with caching explicitly on or off — the
-    /// engine passes `EngineConfig::blast_cache` here (off is an ablation
-    /// knob; results are identical either way).
-    pub fn with_enabled(enabled: bool) -> Self {
-        SharedBlastCache {
-            inner: Arc::default(),
-            disabled: !enabled,
-        }
+        Self::default()
     }
 
     /// Looks up (or builds and stores) the CNF template for `f`. Returns
@@ -646,13 +617,6 @@ impl SharedBlastCache {
         }
     }
 
-    /// Whether `LEAPFROG_NO_BLAST_CACHE=1` disabled this cache at
-    /// construction — hit-rate assertions are vacuous then (the ablation
-    /// CI job runs the whole suite with the cache off).
-    pub fn is_disabled(&self) -> bool {
-        self.disabled
-    }
-
     /// Serializes every stored template to a line-based text format:
     /// a `t <num_vars> <input_bits> <key>` header per template followed by
     /// one DIMACS-style `c <lit>…` line per clause (positive literal `v` is
@@ -682,12 +646,8 @@ impl SharedBlastCache {
     /// Loads templates from [`SharedBlastCache::export_text`] output,
     /// merging into the current contents (existing keys win — templates
     /// are pure functions of the key, so the resident copy is identical).
-    /// Returns the number of templates read. A disabled cache ignores the
-    /// import and reads zero templates.
+    /// Returns the number of templates read.
     pub fn import_text(&self, text: &str) -> Result<usize, String> {
-        if self.disabled {
-            return Ok(0);
-        }
         let mut read = 0;
         let mut current: Option<(String, CnfTemplate)> = None;
         let mut inner = self.inner.lock().unwrap();
@@ -760,20 +720,15 @@ impl SharedBlastCache {
 
 /// Convenience: checks satisfiability of a single quantifier-free formula.
 pub fn sat_qf(decls: &Declarations, f: &Formula) -> Option<Model> {
-    sat_qf_counting(decls, SolverConfig::default(), f).0
+    sat_qf_counting(decls, f).0
 }
 
-/// [`sat_qf`] with an explicit solver configuration and the short-lived
-/// context's CDCL counters handed back, so callers (the CEGAR validation
-/// path) can fold the work into their query statistics instead of losing
-/// it with the context.
-pub fn sat_qf_counting(
-    decls: &Declarations,
-    cfg: SolverConfig,
-    f: &Formula,
-) -> (Option<Model>, SolverStats) {
+/// [`sat_qf`] with the short-lived context's CDCL counters handed back, so
+/// callers (the CEGAR validation path) can fold the work into their query
+/// statistics instead of losing it with the context.
+pub fn sat_qf_counting(decls: &Declarations, f: &Formula) -> (Option<Model>, SolverStats) {
     debug_assert!(f.is_quantifier_free());
-    let mut ctx = BlastContext::with_config(cfg);
+    let mut ctx = BlastContext::new();
     if !ctx.assert_formula(decls, f) {
         return (None, ctx.solver().stats());
     }
@@ -968,10 +923,8 @@ mod tests {
             let (ok1, hit1) = ctx.assert_formula_cached(&d, &f1, &cache);
             let (ok2, hit2) = ctx.assert_formula_cached(&d, &f2, &cache);
             assert!(ok1 && ok2);
-            if !cache.is_disabled() {
-                assert_eq!(hit1, round > 0, "first round misses, later rounds hit");
-                assert_eq!(hit2, round > 0);
-            }
+            assert_eq!(hit1, round > 0, "first round misses, later rounds hit");
+            assert_eq!(hit2, round > 0);
             for hit in [hit1, hit2] {
                 if hit {
                     hits += 1;
@@ -983,11 +936,9 @@ mod tests {
             assert_eq!(m.get(x), m.get(y));
             assert_ne!(m.get(x), Some(&bv("010")));
         }
-        if !cache.is_disabled() {
-            assert_eq!(misses, 2);
-            assert_eq!(hits, 4);
-            assert_eq!(cache.stats().entries, 2);
-        }
+        assert_eq!(misses, 2);
+        assert_eq!(hits, 4);
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
@@ -1021,9 +972,7 @@ mod tests {
         let (_, h2) =
             ctx.assert_formula_cached(&d, &Formula::eq(Term::var(y), Term::lit(bv("10"))), &cache);
         assert!(!h1);
-        if !cache.is_disabled() {
-            assert!(h2, "renamed formula must reuse the template");
-        }
+        assert!(h2, "renamed formula must reuse the template");
         let m = ctx.solve(&d).expect("sat");
         assert_eq!(m.get(x), Some(&bv("10")));
         assert_eq!(m.get(y), Some(&bv("10")));
@@ -1054,7 +1003,7 @@ mod tests {
         let mut d = Declarations::new();
         let x = d.declare("x", 3);
         let y = d.declare("y", 3);
-        let cache = SharedBlastCache::with_enabled(true);
+        let cache = SharedBlastCache::new();
         let f1 = Formula::eq(Term::var(x), Term::var(y));
         let f2 = Formula::not(Formula::eq(Term::var(x), Term::lit(bv("010"))));
         let mut ctx = BlastContext::new();
@@ -1062,7 +1011,7 @@ mod tests {
         ctx.assert_formula_cached(&d, &f2, &cache);
         let text = cache.export_text();
 
-        let reloaded = SharedBlastCache::with_enabled(true);
+        let reloaded = SharedBlastCache::new();
         assert_eq!(reloaded.import_text(&text), Ok(2));
         assert_eq!(reloaded.stats().entries, 2);
         // Round trip is stable: exporting the import reproduces the text.
@@ -1079,7 +1028,7 @@ mod tests {
 
     #[test]
     fn cache_import_rejects_garbage() {
-        let cache = SharedBlastCache::with_enabled(true);
+        let cache = SharedBlastCache::new();
         assert!(cache.import_text("t 3 nope key").is_err());
         assert!(
             cache.import_text("c 1 2").is_err(),

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use crate::blast::{canonical_key, sat_qf_counting, BlastContext, SharedBlastCache};
 use crate::term::{BvVar, Declarations, Formula, Model, Term};
-use leapfrog_sat::{SolverConfig, SolverStats};
+use leapfrog_sat::SolverStats;
 
 /// Global metric handles for the solving core. Counters mirror the
 /// per-query [`QueryStats`] fields but accumulate process-wide, so the
@@ -169,24 +169,21 @@ impl QueryStats {
 pub struct SmtSolver {
     stats: QueryStats,
     cache: SharedBlastCache,
-    sat: SolverConfig,
 }
 
 impl SmtSolver {
-    /// Creates a default-configured solver with a fresh blast cache.
+    /// Creates a solver with a fresh blast cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a solver that shares an existing blast cache and solves
-    /// under `sat` — worker threads each build one of these around the
-    /// main solver's cache, so premise CNF blasted by any worker is reused
-    /// by all.
-    pub fn with_shared_cache(cache: SharedBlastCache, sat: SolverConfig) -> Self {
+    /// Creates a solver that shares an existing blast cache — worker
+    /// threads each build one of these around the main solver's cache, so
+    /// premise CNF blasted by any worker is reused by all.
+    pub fn with_shared_cache(cache: SharedBlastCache) -> Self {
         SmtSolver {
             stats: QueryStats::default(),
             cache,
-            sat,
         }
     }
 
@@ -208,7 +205,7 @@ impl SmtSolver {
     /// Checks validity of `f` (all free variables universally quantified).
     pub fn check_valid(&mut self, decls: &Declarations, f: &Formula) -> CheckResult {
         let start = Instant::now();
-        let (result, meters) = check_valid_counting(decls, f, Some(&self.cache), self.sat);
+        let (result, meters) = check_valid_counting(decls, f, Some(&self.cache));
         self.stats.queries += 1;
         meters.fold_into(&mut self.stats);
         let elapsed = start.elapsed();
@@ -245,16 +242,15 @@ impl SolveMeters {
 /// quantified. Stateless convenience wrapper around [`SmtSolver`] logic
 /// (no cross-query cache).
 pub fn check_valid(decls: &Declarations, f: &Formula) -> CheckResult {
-    check_valid_counting(decls, f, None, SolverConfig::default()).0
+    check_valid_counting(decls, f, None).0
 }
 
 fn check_valid_counting(
     decls: &Declarations,
     f: &Formula,
     cache: Option<&SharedBlastCache>,
-    sat: SolverConfig,
 ) -> (CheckResult, SolveMeters) {
-    let (outcome, meters) = check_sat_counting(decls, &Formula::not(f.clone()), cache, sat);
+    let (outcome, meters) = check_sat_counting(decls, &Formula::not(f.clone()), cache);
     let result = match outcome {
         SatOutcome::Unsat => CheckResult::Valid,
         SatOutcome::Sat(m) => CheckResult::Invalid(m),
@@ -266,14 +262,13 @@ fn check_valid_counting(
 /// `∃∀` fragment: after negation-normalization, `Forall` blocks must have
 /// quantifier-free bodies.
 pub fn check_sat(decls: &Declarations, f: &Formula) -> SatOutcome {
-    check_sat_counting(decls, f, None, SolverConfig::default()).0
+    check_sat_counting(decls, f, None).0
 }
 
 fn check_sat_counting(
     decls: &Declarations,
     f: &Formula,
     cache: Option<&SharedBlastCache>,
-    sat: SolverConfig,
 ) -> (SatOutcome, SolveMeters) {
     let mut decls = decls.clone();
     let nf = nnf(&mut decls, f, true);
@@ -284,7 +279,7 @@ fn check_sat_counting(
     let mut foralls: Vec<(Vec<BvVar>, Formula)> = Vec::new();
     split_conjuncts(&nf, &mut qf, &mut foralls);
 
-    let mut ctx = BlastContext::with_config(sat);
+    let mut ctx = BlastContext::new();
     let mut meters = SolveMeters::default();
     let assert =
         |ctx: &mut BlastContext, decls: &Declarations, f: &Formula, m: &mut SolveMeters| -> bool {
@@ -309,7 +304,7 @@ fn check_sat_counting(
     }
     // Seed each forall with the all-zeros instantiation and hand the block
     // to the refinement oracle.
-    let mut oracle = RefinementOracle::with_solver_config(sat);
+    let mut oracle = RefinementOracle::new();
     for (xs, body) in foralls {
         let seed: Vec<BitVec> = xs.iter().map(|x| BitVec::zeros(decls.width(*x))).collect();
         ok &= assert(
@@ -659,31 +654,15 @@ pub struct OracleRound {
 ///
 /// Verdicts are exact: a model is reported clean only after every block
 /// either solved clean or matched a previously-clean support valuation.
+#[derive(Default)]
 pub struct RefinementOracle {
     blocks: Vec<OracleBlock>,
-    /// Construction knobs for the short-lived validation solvers.
-    sat_cfg: SolverConfig,
-}
-
-impl Default for RefinementOracle {
-    fn default() -> RefinementOracle {
-        RefinementOracle::new()
-    }
 }
 
 impl RefinementOracle {
-    /// An oracle with no blocks; validation solvers default-configured.
+    /// An oracle with no blocks.
     pub fn new() -> RefinementOracle {
-        RefinementOracle::with_solver_config(SolverConfig::default())
-    }
-
-    /// An oracle with no blocks whose validation solves run under an
-    /// explicit solver configuration.
-    pub fn with_solver_config(sat_cfg: SolverConfig) -> RefinementOracle {
-        RefinementOracle {
-            blocks: Vec::new(),
-            sat_cfg,
-        }
+        RefinementOracle::default()
     }
 
     /// Registers a `∀xs. body` block. The caller is responsible for
@@ -798,14 +777,7 @@ impl RefinementOracle {
                 .zip(&valuation)
                 .map(|(v, val)| (*v, Term::lit(val.clone())))
                 .collect();
-            match refute_closed(
-                decls,
-                self.sat_cfg,
-                &block.xs,
-                &block.body,
-                &map,
-                &mut round.sat,
-            ) {
+            match refute_closed(decls, &block.xs, &block.body, &map, &mut round.sat) {
                 Some(witness) => {
                     if let (Some(ledger), Some(lkey)) = (ledger, lkey) {
                         let canon = block.canon.as_ref().unwrap();
@@ -860,14 +832,7 @@ pub fn violates_forall(
             map.insert(v, Term::lit(value));
         }
     }
-    refute_closed(
-        decls,
-        SolverConfig::default(),
-        xs,
-        body,
-        &map,
-        &mut SolverStats::default(),
-    )
+    refute_closed(decls, xs, body, &map, &mut SolverStats::default())
 }
 
 /// Closes `body`'s support variables with `map` and searches for values
@@ -875,14 +840,13 @@ pub fn violates_forall(
 /// [`violates_forall`] and [`RefinementOracle::validate`].
 fn refute_closed(
     decls: &Declarations,
-    sat_cfg: SolverConfig,
     xs: &[BvVar],
     body: &Formula,
     map: &HashMap<BvVar, Term>,
     sat: &mut SolverStats,
 ) -> Option<Vec<BitVec>> {
     let closed = Formula::not(body.subst(map));
-    let (m, solve_stats) = sat_qf_counting(decls, sat_cfg, &closed);
+    let (m, solve_stats) = sat_qf_counting(decls, &closed);
     sat.absorb(&solve_stats);
     let m = m?;
     Some(
@@ -1428,9 +1392,6 @@ mod tests {
         for _ in 0..4 {
             assert!(matches!(s.check_valid(&d, &f), CheckResult::Valid));
         }
-        if s.shared_cache().is_disabled() {
-            return; // LEAPFROG_NO_BLAST_CACHE=1 ablation run: no hits.
-        }
         let stats = s.stats().clone();
         assert!(stats.blast_cache_hits > 0, "{stats:?}");
         assert!(stats.blast_cache_misses > 0, "{stats:?}");
@@ -1444,11 +1405,8 @@ mod tests {
         let f = Formula::Eq(Term::var(x), Term::lit(bv("1010")));
         let mut s1 = SmtSolver::new();
         assert!(matches!(s1.check_valid(&d, &f), CheckResult::Invalid(_)));
-        let mut s2 = SmtSolver::with_shared_cache(s1.shared_cache(), SolverConfig::default());
+        let mut s2 = SmtSolver::with_shared_cache(s1.shared_cache());
         assert!(matches!(s2.check_valid(&d, &f), CheckResult::Invalid(_)));
-        if s2.shared_cache().is_disabled() {
-            return; // LEAPFROG_NO_BLAST_CACHE=1 ablation run: no hits.
-        }
         assert_eq!(s2.stats().blast_cache_misses, 0, "{:?}", s2.stats());
         assert!(s2.stats().blast_cache_hits > 0);
     }

@@ -17,6 +17,7 @@ use leapfrog_bitvec::BitVec;
 use leapfrog_cex::{Disagreement, Refutation, Witness};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::semantics::{Config, Store};
+use leapfrog_p4a::walk::Rng;
 
 /// Randomized agreement: runs `samples` random words of each length in
 /// `lengths` through both parsers (with independently random initial
@@ -43,13 +44,8 @@ pub fn find_disagreement(
     samples: usize,
     seed: u64,
 ) -> Option<BitVec> {
-    let mut state = seed | 1;
-    let mut rng = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state
-    };
+    let mut gen = Rng::new(seed);
+    let mut rng = || gen.next_u64();
     for &len in lengths {
         for _ in 0..samples {
             let word = BitVec::random_with(len, &mut rng);

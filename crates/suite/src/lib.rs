@@ -32,6 +32,8 @@ pub mod mutants;
 pub mod utility;
 pub mod workload;
 
+use leapfrog::engine::env_lookup;
+use leapfrog::ConfigError;
 use leapfrog_p4a::ast::{Automaton, StateId};
 
 /// A named benchmark: two parsers and their start states.
@@ -120,13 +122,44 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `LEAPFROG_SCALE` (default [`Scale::Small`] — see EXPERIMENTS.md
-    /// for full-scale runs).
-    pub fn from_env() -> Scale {
-        match std::env::var("LEAPFROG_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            Ok("medium") => Scale::Medium,
-            _ => Scale::Small,
+    /// Reads `LEAPFROG_SCALE`: `small`, `medium` or `full`, in any case
+    /// (unset or blank = [`Scale::Small`]; `table2` documents full-scale
+    /// runs). Any other value is an error naming the variable.
+    pub fn from_env() -> Result<Scale, ConfigError> {
+        Scale::from_lookup(env_lookup)
+    }
+
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Scale, ConfigError> {
+        let var = "LEAPFROG_SCALE";
+        let Some(value) = lookup(var) else {
+            return Ok(Scale::Small);
+        };
+        match value.trim().to_ascii_lowercase().as_str() {
+            "" | "small" => Ok(Scale::Small),
+            "medium" => Ok(Scale::Medium),
+            "full" => Ok(Scale::Full),
+            _ => Err(ConfigError {
+                var,
+                value,
+                expected: "small, medium or full",
+            }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_parses_its_three_words_and_rejects_the_rest() {
+        let scale = |value: Option<&str>| Scale::from_lookup(|_| value.map(str::to_string));
+        assert_eq!(scale(None), Ok(Scale::Small));
+        assert_eq!(scale(Some(" ")), Ok(Scale::Small));
+        assert_eq!(scale(Some("small")), Ok(Scale::Small));
+        assert_eq!(scale(Some("medium")), Ok(Scale::Medium));
+        assert_eq!(scale(Some("Full")), Ok(Scale::Full));
+        let err = scale(Some("bogus")).unwrap_err();
+        assert_eq!((err.var, err.value.as_str()), ("LEAPFROG_SCALE", "bogus"));
     }
 }

@@ -13,7 +13,7 @@ use leapfrog_suite::applicability::edge;
 use leapfrog_suite::Scale;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap();
     let parser = edge(scale);
     let start = parser.state_by_name("parse_eth").unwrap();
     println!(

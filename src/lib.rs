@@ -55,15 +55,13 @@
 //! | Env var | `EngineConfig` field |
 //! |---|---|
 //! | `LEAPFROG_THREADS` | `threads(n)` (`0` = auto) |
-//! | `LEAPFROG_SESSION_GC` | `session_gc_ratio(Some(r))` (`None` = off) |
-//! | `LEAPFROG_SESSION_GC_FLOOR` | `session_gc_floor(n)` |
 //! | `LEAPFROG_STRICT_WITNESS` | `strict_witness(true)` |
-//! | `LEAPFROG_NO_BLAST_CACHE` | `blast_cache(false)` |
-//! | `LEAPFROG_SAT_LBD` | `sat_lbd(false)` when false |
 //! | `LEAPFROG_WARM_CAP` | `warm_capacity(n)` (`0` = unbounded) |
 //!
-//! Flags take `1`/`0`, `true`/`false`, `on`/`off` or `yes`/`no`; counts
-//! take a non-negative integer. A malformed value makes `from_env` return
+//! The session GC policy (ratio 4, floor 512 live clauses), the blast
+//! cache and two-tier LBD learnt-clause management are fixed, not
+//! configurable. Flags take `1`/`0`, `true`/`false`, `on`/`off` or
+//! `yes`/`no`; counts take a non-negative integer. A malformed value makes `from_env` return
 //! a `ConfigError` naming the variable instead of silently using the
 //! default. `LEAPFROG_SCALE`, `LEAPFROG_WITNESS_CORPUS` and
 //! `LEAPFROG_SKIP_BASELINE` configure the evaluation *harness* (suite /

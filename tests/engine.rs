@@ -8,7 +8,7 @@ use leapfrog::checker::check_language_equivalence;
 use leapfrog::{EngineConfig, Outcome, QuerySpec};
 use leapfrog_p4a::ast::{Automaton, StateId};
 use leapfrog_p4a::surface::parse;
-use leapfrog_suite::utility::{sloppy_strict, state_rearrangement};
+use leapfrog_suite::utility::sloppy_strict;
 
 /// An equivalent pair with distinct state layouts (entailments fire).
 fn chunking_pair() -> (Automaton, StateId, Automaton, StateId) {
@@ -185,50 +185,6 @@ fn engine_serves_different_pairs_without_cross_talk() {
         assert_eq!(fresh_wit, w, "round {round}");
     }
     assert_eq!(engine.stats().pairs_interned, 2);
-}
-
-#[test]
-fn gc_floor_reduces_rebuilds_on_small_rows_without_changing_results() {
-    // Satellite contract: with the default ratio-4 budget, a small
-    // cache-served row must rebuild no *more* under the 512-clause floor
-    // than without it — and certificates must match exactly.
-    let bench = state_rearrangement::state_rearrangement_benchmark();
-    let run = |floor: u64| {
-        let opts = EngineConfig {
-            threads: 1,
-            session_gc_ratio: Some(4.0),
-            session_gc_floor: floor,
-            ..EngineConfig::from_env().unwrap()
-        };
-        let mut checker = leapfrog::Checker::new(
-            &bench.left,
-            bench.left_start,
-            &bench.right,
-            bench.right_start,
-            opts,
-        );
-        let cert = cert_json(&checker.run());
-        (cert, checker.stats().session_rebuilds())
-    };
-    let (cert_no_floor, rebuilds_no_floor) = run(0);
-    let (cert_floor, rebuilds_floor) = run(leapfrog::engine::DEFAULT_SESSION_GC_FLOOR);
-    assert_eq!(
-        cert_no_floor, cert_floor,
-        "the floor must not change results"
-    );
-    assert!(
-        rebuilds_floor <= rebuilds_no_floor,
-        "the floor can only reduce rebuild churn: {rebuilds_floor} > {rebuilds_no_floor}"
-    );
-}
-
-#[test]
-fn engine_honours_the_typed_blast_cache_setting() {
-    // Typed config alone decides the cache, whatever the environment.
-    let engine = EngineConfig::new().blast_cache(false).build();
-    assert!(engine.shared_cache().is_disabled());
-    let engine = EngineConfig::new().build();
-    assert!(!engine.shared_cache().is_disabled());
 }
 
 #[test]

@@ -171,148 +171,6 @@ fn results_are_byte_identical_with_tracing_on_and_off() {
 }
 
 #[test]
-fn certificates_and_witnesses_identical_across_session_gc_settings() {
-    // The guard sessions' clause-budget GC must be invisible in results:
-    // certificates byte-identical with GC off, at the default ratio (and
-    // default clause-count floor), and at a pathological ratio with the
-    // floor removed so rebuilds actually fire — at several thread counts.
-    let gc_settings: [(Option<f64>, u64); 3] = [
-        (None, leapfrog::engine::DEFAULT_SESSION_GC_FLOOR),
-        (Some(4.0), leapfrog::engine::DEFAULT_SESSION_GC_FLOOR),
-        (Some(0.001), 0),
-    ];
-    let mut forced_rebuilds = 0u64;
-    for (name, left, ql, right, qr) in equivalent_pairs() {
-        let mut jsons = Vec::new();
-        for (gc, floor) in gc_settings {
-            for threads in [1, 2] {
-                let opts = EngineConfig {
-                    threads,
-                    session_gc_ratio: gc,
-                    session_gc_floor: floor,
-                    ..EngineConfig::from_env().unwrap()
-                };
-                let mut checker = Checker::new(&left, ql, &right, qr, opts);
-                match checker.run() {
-                    Outcome::Equivalent(cert) => jsons.push(cert.to_json()),
-                    other => panic!("{name}: expected Equivalent at gc={gc:?}, got {other:?}"),
-                }
-                let stats = checker.stats();
-                if gc.is_none() {
-                    assert_eq!(
-                        stats.session_rebuilds(),
-                        0,
-                        "{name}: GC off must not rebuild"
-                    );
-                }
-                if gc == Some(0.001) && floor == 0 {
-                    forced_rebuilds += stats.session_rebuilds();
-                }
-                assert!(
-                    stats.queries.blocks_validated <= stats.queries.blocks_considered,
-                    "{name}: the oracle can only skip validations: {stats:?}"
-                );
-            }
-        }
-        assert!(
-            jsons.windows(2).all(|w| w[0] == w[1]),
-            "{name}: certificate JSON differs across session-GC settings"
-        );
-    }
-    assert!(
-        forced_rebuilds > 0,
-        "a near-zero GC ratio must force context rebuilds somewhere"
-    );
-
-    // Witnesses too: the sanity pair must render identically under every
-    // GC setting.
-    let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
-    let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
-    let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut rendered = Vec::new();
-    for (gc, floor) in gc_settings {
-        let opts = EngineConfig {
-            session_gc_ratio: gc,
-            session_gc_floor: floor,
-            ..EngineConfig::from_env().unwrap()
-        };
-        let mut checker = Checker::new(&sloppy, ql, &strict, qr, opts);
-        match checker.run() {
-            Outcome::NotEquivalent(refutation) => {
-                let w = refutation
-                    .witness()
-                    .unwrap_or_else(|| panic!("witness must confirm at gc={gc:?}"));
-                assert!(w.check());
-                rendered.push(format!("{w}"));
-            }
-            other => panic!("expected NotEquivalent at gc={gc:?}, got {other:?}"),
-        }
-    }
-    assert!(
-        rendered.windows(2).all(|w| w[0] == w[1]),
-        "witness rendering differs across session-GC settings:\n{rendered:?}"
-    );
-}
-
-#[test]
-fn results_are_byte_identical_with_lbd_management_on_and_off() {
-    // The LBD two-tier learnt-clause policy only changes which learnt
-    // clauses the SAT core retains — never a verdict, certificate byte, or
-    // witness byte. Certificates, witnesses, and the query trajectory must
-    // be identical with the policy disabled (activity-only deletion).
-    for (name, left, ql, right, qr) in equivalent_pairs() {
-        let mut jsons = Vec::new();
-        let mut queries = Vec::new();
-        for lbd in [true, false] {
-            let opts = EngineConfig {
-                sat_lbd: lbd,
-                ..opts(2)
-            };
-            let mut checker = Checker::new(&left, ql, &right, qr, opts);
-            match checker.run() {
-                Outcome::Equivalent(cert) => jsons.push(cert.to_json()),
-                other => panic!("{name}: expected Equivalent at lbd={lbd}, got {other:?}"),
-            }
-            queries.push(checker.stats().queries.queries);
-        }
-        assert_eq!(
-            jsons[0], jsons[1],
-            "{name}: certificate JSON differs with LBD management off"
-        );
-        assert_eq!(
-            queries[0], queries[1],
-            "{name}: query trajectory differs with LBD management off"
-        );
-    }
-    // And a refuted pair: the rendered witness must survive the toggle.
-    let (sloppy, strict) = sloppy_strict::sloppy_strict_parsers();
-    let ql = sloppy.state_by_name(sloppy_strict::SLOPPY_START).unwrap();
-    let qr = strict.state_by_name(sloppy_strict::STRICT_START).unwrap();
-    let mut rendered = Vec::new();
-    for lbd in [true, false] {
-        let opts = EngineConfig {
-            sat_lbd: lbd,
-            ..opts(2)
-        };
-        let mut checker = Checker::new(&sloppy, ql, &strict, qr, opts);
-        match checker.run() {
-            Outcome::NotEquivalent(refutation) => {
-                let w = refutation
-                    .witness()
-                    .unwrap_or_else(|| panic!("witness must confirm at lbd={lbd}"));
-                assert!(w.check());
-                rendered.push(format!("{w}"));
-            }
-            other => panic!("expected NotEquivalent at lbd={lbd}, got {other:?}"),
-        }
-    }
-    assert_eq!(
-        rendered[0], rendered[1],
-        "witness rendering differs with LBD management off"
-    );
-}
-
-#[test]
 fn oracle_skips_validations_on_a_real_row() {
     // The variable-indexed oracle must actually save validation solves on
     // a row with quantified premises (blocks_validated < blocks_considered
@@ -400,9 +258,6 @@ fn blast_cache_consistency_against_stateless_solver() {
         );
         assert_eq!(with_cache, stateless);
         assert!(with_cache);
-    }
-    if cached.shared_cache().is_disabled() {
-        return; // LEAPFROG_NO_BLAST_CACHE=1 ablation run: no hits.
     }
     let stats = cached.stats();
     assert!(

@@ -12,21 +12,7 @@ use leapfrog_bitvec::BitVec;
 use leapfrog_p4a::ast::{Automaton, Expr, Pattern, StateId, Target};
 use leapfrog_p4a::builder::Builder;
 use leapfrog_p4a::semantics::{Config, Store};
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
+use leapfrog_p4a::walk::Rng;
 
 /// Generates a random parser: 1–3 states, headers of 1–3 bits, selects
 /// over extracted headers with random exact/wildcard cases.
@@ -56,7 +42,7 @@ fn random_parser(rng: &mut Rng, tag: &str) -> Automaton {
                     let pat = if rng.below(4) == 0 {
                         Pattern::Wildcard
                     } else {
-                        Pattern::Exact(BitVec::from_u64(rng.next() & ((1 << width) - 1), width))
+                        Pattern::Exact(BitVec::from_u64(rng.next_u64() & ((1 << width) - 1), width))
                     };
                     (vec![pat], any_target(rng))
                 })
@@ -81,8 +67,8 @@ fn exhaustive_disagreement(
     let stores: Vec<(Store, Store)> = (0..4)
         .map(|_| {
             (
-                Store::random(left, || rng.next()),
-                Store::random(right, || rng.next()),
+                Store::random(left, || rng.next_u64()),
+                Store::random(right, || rng.next_u64()),
             )
         })
         .collect();
@@ -103,7 +89,7 @@ fn exhaustive_disagreement(
 
 #[test]
 fn symbolic_checker_agrees_with_exhaustive_oracle() {
-    let mut rng = Rng(0x1eaf_f709);
+    let mut rng = Rng::new(0x1eaf_f709);
     let mut equivalent_seen = 0;
     let mut inequivalent_seen = 0;
     for round in 0..40 {
@@ -151,7 +137,7 @@ fn symbolic_checker_agrees_with_exhaustive_oracle() {
 fn self_comparison_of_store_independent_parsers_verifies() {
     // Parsers whose selects only scrutinize same-state extracted headers
     // are store-independent, so self-comparison must always verify.
-    let mut rng = Rng(0xfeedbead);
+    let mut rng = Rng::new(0xfeedbead);
     for round in 0..15 {
         let a = random_parser(&mut rng, "s");
         let verdict = check_language_equivalence(&a, StateId(0), &a, StateId(0));
